@@ -594,11 +594,7 @@ let e11_qualitative_matrix () =
      | Baselines.Technique.Acquired _, Baselines.Technique.Blocked _ -> "no"
      | Baselines.Technique.Blocked _, _ -> "n/a")
   in
-  let to_requests steps =
-    List.map
-      (fun { Protocol.node; mode; _ } -> { Baselines.Technique.node; mode })
-      steps
-  in
+  let to_requests steps = List.map Baselines.Technique.of_step steps in
   let proposed_plans env c1 =
     let c_objects = Node_id.child (Option.get (Graph.object_node env.graph c1)) "c_objects" in
     let r1 = node [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r1" ] in

@@ -101,6 +101,23 @@ let bench_e5_shared_all_parents =
            (Baselines.Sysr_dag.plan_exclusive_all_parents shared32_graph
               ~oid:(Oid.make ~relation:"effectors" ~key:"e1"))))
 
+(* E5: S on the cell whose k robots all reference the one shared effector:
+   downward propagation must find that effector below the cell. The
+   compiled graph memoises it per node, so the cost is flat in k. *)
+let bench_e5_cell_plans =
+  List.map
+    (fun robots ->
+      let graph = Graph.build (Workload.Generator.shared_effector ~robots) in
+      let protocol = Protocol.create graph (Table.create ()) in
+      let c1 =
+        Option.get (Graph.object_node graph (Oid.make ~relation:"cells" ~key:"c1"))
+      in
+      Test.make
+        ~name:(Printf.sprintf "E5 plan S cell c1, proposed (k=%d)" robots)
+        (Staged.stage (fun () ->
+             Sys.opaque_identity (Protocol.plan protocol ~txn:1 c1 Mode.S))))
+    [ 1; 32; 256 ]
+
 (* E6: the hidden-conflict audit. *)
 let bench_e6_hidden_conflict_audit =
   let table = Table.create () in
@@ -241,7 +258,7 @@ let all_micro_tests =
       bench_e6_hidden_conflict_audit; bench_e7_query_q2;
       bench_e8_query_graph; bench_e9_simulation;
       bench_e10_build_instance_graph; bench_e11_lock_table_ops ]
-     @ bench_e14_pair)
+     @ bench_e5_cell_plans @ bench_e14_pair)
 
 let run_bechamel () =
   print_endline "\n=== Bechamel micro-benchmarks (ns/run, OLS estimate) ===";
@@ -249,7 +266,14 @@ let run_bechamel () =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None () in
+  (* No per-sample GC stabilisation: it compacts the fixtures' large heap
+     before every sample, and re-marking that heap is then billed to the
+     next sample's allocations, which inflates each rung with the size of
+     the whole harness's live data rather than of its own. *)
+  let cfg =
+    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None
+      ~stabilize:false ()
+  in
   let raw = Benchmark.all cfg instances all_micro_tests in
   let results =
     List.map (fun instance -> Analyze.all ols instance raw) instances

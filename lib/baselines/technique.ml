@@ -3,7 +3,10 @@ module Table = Lockmgr.Lock_table
 module Node_id = Colock.Node_id
 module Graph = Colock.Instance_graph
 
-type request = { node : Node_id.t; mode : Mode.t }
+type request = { node : Node_id.t; mode : Mode.t; resource : string }
+
+let of_step { Colock.Protocol.node; mode; resource; _ } =
+  { node; mode; resource }
 
 type outcome =
   | Acquired of int
@@ -13,7 +16,7 @@ let acquire table ~txn ?(wait = true) requests =
   let rec walk issued = function
     | [] -> Acquired issued
     | request :: rest -> (
-      let resource = Node_id.to_resource request.node in
+      let resource = request.resource in
       if wait then
         match Table.request table ~txn ~resource request.mode with
         | Table.Granted -> walk (issued + 1) rest
@@ -26,26 +29,28 @@ let acquire table ~txn ?(wait = true) requests =
   walk 0 requests
 
 let with_ancestors graph node mode =
+  let target = Graph.node_exn graph node in
   let intention = Mode.intention_for mode in
   List.map
-    (fun ancestor -> { node = ancestor; mode = intention })
-    (Graph.ancestors graph node)
-  @ [ { node; mode } ]
+    (fun (ancestor : Graph.node) ->
+      { node = ancestor.id; mode = intention; resource = ancestor.resource })
+    (Graph.ancestor_nodes graph target)
+  @ [ { node; mode; resource = target.resource } ]
 
 let merge requests =
   let seen = Hashtbl.create 32 in
   let order = ref [] in
   List.iter
-    (fun { node; mode } ->
-      let key = Node_id.to_resource node in
-      match Hashtbl.find_opt seen key with
-      | Some cell -> cell := { node; mode = Mode.sup !cell.mode mode }
+    (fun request ->
+      match Hashtbl.find_opt seen request.resource with
+      | Some cell ->
+        cell := { request with mode = Mode.sup !cell.mode request.mode }
       | None ->
-        let cell = ref { node; mode } in
-        Hashtbl.replace seen key cell;
+        let cell = ref request in
+        Hashtbl.replace seen request.resource cell;
         order := cell :: !order)
     requests;
   List.rev_map (fun cell -> !cell) !order
 
-let pp_request formatter { node; mode } =
+let pp_request formatter { node; mode; _ } =
   Format.fprintf formatter "%a: %a" Node_id.pp node Mode.pp mode

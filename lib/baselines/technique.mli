@@ -2,7 +2,16 @@
     against (§3): lock plans as explicit request lists, plus an executor that
     plays a plan against a lock table. *)
 
-type request = { node : Colock.Node_id.t; mode : Lockmgr.Lock_mode.t }
+type request = {
+  node : Colock.Node_id.t;
+  mode : Lockmgr.Lock_mode.t;
+  resource : string;
+      (** the lock-table key: the node's stored
+          {!Colock.Instance_graph.node.resource} *)
+}
+
+val of_step : Colock.Protocol.step -> request
+(** A proposed-protocol plan step as a request. *)
 
 type outcome =
   | Acquired of int  (** number of requests issued *)

@@ -27,6 +27,10 @@ val of_steps : string list -> t option
 val to_resource : t -> string
 (** ["db1/seg1/cells/c1"]; injective. *)
 
+val child_resource : string -> string -> string
+(** [child_resource (to_resource node) step = to_resource (child node step)],
+    in one concatenation. *)
+
 val depth : t -> int
 (** Number of steps: the database node has depth 1. *)
 

@@ -40,9 +40,14 @@ type reason =
   | Upward_propagation
   | Downward_propagation
 
-type step = { node : Node_id.t; mode : Lock_mode.t; reason : reason }
+type step = {
+  node : Node_id.t;
+  mode : Lock_mode.t;
+  reason : reason;
+  resource : string;
+}
 
-let pp_step formatter { node; mode; reason } =
+let pp_step formatter { node; mode; reason; _ } =
   let reason_text =
     match reason with
     | Requested -> "requested"
@@ -53,37 +58,39 @@ let pp_step formatter { node; mode; reason } =
   Format.fprintf formatter "%a: %a (%s)" Node_id.pp node Lock_mode.pp mode
     reason_text
 
-(* Ordered plans with supremum-merge on duplicate nodes.  The first position
-   of a node is kept, which preserves parent-before-child in every chain the
-   node occurs in. *)
+(* Ordered plans with supremum-merge on duplicate nodes, keyed on dense node
+   ids.  The first position of a node is kept, which preserves
+   parent-before-child in every chain the node occurs in. *)
 module Plan_builder = struct
-  type builder = {
-    mutable steps : step list;  (* reversed *)
-    positions : (Node_id.t, step ref) Hashtbl.t;
-    mutable order : step ref list;  (* reversed insertion order *)
+  type cell = {
+    node : Instance_graph.node;
+    mutable mode : Lock_mode.t;
+    mutable reason : reason;
   }
 
-  let create () =
-    { steps = []; positions = Hashtbl.create 32; order = [] }
+  type builder = {
+    positions : (int, cell) Hashtbl.t;
+    mutable order : cell list;  (* reversed insertion order *)
+  }
 
-  let add builder node mode reason =
-    match Hashtbl.find_opt builder.positions node with
+  let create () = { positions = Hashtbl.create 16; order = [] }
+
+  let add builder (node : Instance_graph.node) mode reason =
+    match Hashtbl.find_opt builder.positions node.index with
     | Some cell ->
-      let merged = Lock_mode.sup !cell.mode mode in
-      let stronger_reason =
-        (* "requested" dominates in reporting; otherwise keep the first. *)
-        match !cell.reason, reason with
-        | Requested, _ -> Requested
-        | _, Requested -> Requested
-        | first, _ -> first
-      in
-      cell := { !cell with mode = merged; reason = stronger_reason }
+      cell.mode <- Lock_mode.sup cell.mode mode;
+      (* "requested" dominates in reporting; otherwise keep the first. *)
+      if reason = Requested then cell.reason <- Requested
     | None ->
-      let cell = ref { node; mode; reason } in
-      Hashtbl.replace builder.positions node cell;
+      let cell = { node; mode; reason } in
+      Hashtbl.replace builder.positions node.index cell;
       builder.order <- cell :: builder.order
 
-  let finish builder = List.rev_map (fun cell -> !cell) builder.order
+  let finish builder =
+    List.rev_map
+      (fun { node; mode; reason } ->
+        { node = node.id; mode; reason; resource = node.resource })
+      builder.order
 end
 
 (* The data mode an S/X/SIX lock imposes on the units below it; NL when the
@@ -95,14 +102,13 @@ let propagated_data_mode = function
 
 (* Mode actually placed on one entry point, given the mode being propagated
    and the transaction's rights on the entry's relation (rule 4 vs 4'). *)
-let entry_mode protocol ~txn entry_id data_mode =
+let entry_mode protocol ~txn (entry : Instance_graph.node) data_mode =
   match protocol.rule with
   | Rule_4 -> data_mode
   | Rule_4_prime -> (
     match data_mode with
     | Lock_mode.X -> (
-      let entry = Instance_graph.node_exn protocol.graph entry_id in
-      match entry.Instance_graph.relation with
+      match entry.relation with
       | Some relation ->
         if Authz.Rights.may_modify protocol.rights ~txn ~relation then
           Lock_mode.X
@@ -112,6 +118,9 @@ let entry_mode protocol ~txn entry_id data_mode =
       ->
       data_mode)
 
+let add_chain builder chain mode reason =
+  List.iter (fun node -> Plan_builder.add builder node mode reason) chain
+
 (* Downward propagation: breadth-first over inner units reachable from
    [node], carrying the mode to propagate into each.  Crosses superunit
    boundaries; each entry point gets upward propagation (intentions on its
@@ -119,13 +128,13 @@ let entry_mode protocol ~txn entry_id data_mode =
 let add_downward_propagation protocol ~txn builder node mode =
   let data_mode = propagated_data_mode mode in
   if not (Lock_mode.equal data_mode Lock_mode.NL) then begin
-    let seen = Hashtbl.create 16 in
+    let graph = protocol.graph in
+    let seen = Hashtbl.create 8 in
     let rec propagate_from node data_mode =
-      let entries = Units.entry_points_below protocol.graph node in
       List.iter
-        (fun entry_id ->
-          let mode_here = entry_mode protocol ~txn entry_id data_mode in
-          let cached = Hashtbl.find_opt seen entry_id in
+        (fun (entry : Instance_graph.node) ->
+          let mode_here = entry_mode protocol ~txn entry data_mode in
+          let cached = Hashtbl.find_opt seen entry.index in
           let already_covers =
             match cached with
             | Some previous -> Lock_mode.leq mode_here previous
@@ -137,35 +146,33 @@ let add_downward_propagation protocol ~txn builder node mode =
               | Some previous -> Lock_mode.sup previous mode_here
               | None -> mode_here
             in
-            Hashtbl.replace seen entry_id merged;
-            List.iter
-              (fun parent ->
-                Plan_builder.add builder parent
-                  (Lock_mode.intention_for mode_here)
-                  Upward_propagation)
-              (Units.superunit_parents protocol.graph ~root:entry_id);
-            Plan_builder.add builder entry_id mode_here Downward_propagation;
-            propagate_from entry_id (propagated_data_mode mode_here)
+            Hashtbl.replace seen entry.index merged;
+            add_chain builder
+              (Instance_graph.ancestor_nodes graph entry)
+              (Lock_mode.intention_for mode_here)
+              Upward_propagation;
+            Plan_builder.add builder entry mode_here Downward_propagation;
+            propagate_from entry (propagated_data_mode mode_here)
           end)
-        entries
+        (Instance_graph.entry_points_below graph node)
     in
     propagate_from node data_mode
   end
 
 let plan protocol ~txn ?(follow_references = true) node mode =
+  let graph = protocol.graph in
+  let target = Instance_graph.node_exn graph node in
   let builder = Plan_builder.create () in
-  let intention = Lock_mode.intention_for mode in
-  List.iter
-    (fun ancestor ->
-      Plan_builder.add builder ancestor intention Ancestor_intention)
-    (Instance_graph.ancestors protocol.graph node);
-  Plan_builder.add builder node mode Requested;
+  add_chain builder
+    (Instance_graph.ancestor_nodes graph target)
+    (Lock_mode.intention_for mode) Ancestor_intention;
+  Plan_builder.add builder target mode Requested;
   if follow_references then
-    add_downward_propagation protocol ~txn builder node mode;
+    add_downward_propagation protocol ~txn builder target mode;
   let steps = Plan_builder.finish builder in
   Log.debug (fun log ->
       log "T%d plan for %s %s: %d step(s)%s" txn (Lock_mode.to_string mode)
-        (Node_id.to_resource node) (List.length steps)
+        target.resource (List.length steps)
         (let propagated =
            List.length
              (List.filter
@@ -192,16 +199,14 @@ let run_plan protocol ~txn ~duration ?deadline ~wait steps =
         if wait then
           match
             Lock_table.request protocol.table ~txn ~duration ?deadline
-              ~resource:(Node_id.to_resource step.node)
-              step.mode
+              ~resource:step.resource step.mode
           with
           | Lock_table.Granted -> `Granted
           | Lock_table.Waiting blockers -> `Blocked blockers
         else
           match
             Lock_table.try_request protocol.table ~txn ~duration
-              ~resource:(Node_id.to_resource step.node)
-              step.mode
+              ~resource:step.resource step.mode
           with
           | `Granted -> `Granted
           | `Would_block blockers -> `Blocked blockers
@@ -223,10 +228,10 @@ let try_acquire protocol ~txn ?(duration = Lock_table.Short) ?follow_references
   run_plan protocol ~txn ~duration ~wait:false
     (plan protocol ~txn ?follow_references node mode)
 
-let explicit_mode protocol ~txn node =
-  Lock_table.held protocol.table ~txn ~resource:(Node_id.to_resource node)
+let explicit_mode protocol ~txn (node : Instance_graph.node) =
+  Lock_table.held protocol.table ~txn ~resource:node.resource
 
-let effective_mode protocol ~txn node =
+let effective_mode_of protocol ~txn node =
   let explicit = explicit_mode protocol ~txn node in
   let implicit =
     List.fold_left
@@ -236,9 +241,12 @@ let effective_mode protocol ~txn node =
         | Lock_mode.S | Lock_mode.SIX -> Lock_mode.sup inherited Lock_mode.S
         | Lock_mode.NL | Lock_mode.IS | Lock_mode.IX -> inherited)
       Lock_mode.NL
-      (Instance_graph.ancestors protocol.graph node)
+      (Instance_graph.ancestor_nodes protocol.graph node)
   in
   Lock_mode.sup explicit implicit
+
+let effective_mode protocol ~txn node =
+  effective_mode_of protocol ~txn (Instance_graph.node_exn protocol.graph node)
 
 type protocol_violation =
   | Unknown_node of Node_id.t
@@ -263,27 +271,29 @@ let pp_protocol_violation formatter = function
       Lock_mode.pp needed
 
 let request_explicit protocol ~txn ?(duration = Lock_table.Short) node mode =
-  match Instance_graph.node protocol.graph node with
+  let graph = protocol.graph in
+  match Instance_graph.node graph node with
   | None -> Error (Unknown_node node)
   | Some current -> (
     let needed = Lock_mode.intention_for mode in
     let parent_ok parent =
-      let held = effective_mode protocol ~txn parent in
-      Lock_mode.leq needed held
+      Lock_mode.leq needed (effective_mode_of protocol ~txn parent)
     in
     let precondition =
-      match current.Instance_graph.parent with
+      match Instance_graph.parent_node graph current with
       | None -> Ok ()  (* root of the outer unit: no locks needed *)
       | Some parent ->
-        if current.Instance_graph.entry_point then
+        if current.entry_point then
           (* Reached either via a locked referencing node (the manager then
              performs upward propagation) or directly through its locked
              parent relation. *)
           let via_reference =
-            match current.Instance_graph.oid with
+            match current.oid with
             | Some oid ->
-              List.exists parent_ok
-                (Instance_graph.referencers protocol.graph oid)
+              List.exists
+                (fun referencer ->
+                  parent_ok (Instance_graph.node_exn graph referencer))
+                (Instance_graph.referencers graph oid)
             | None -> false
           in
           if via_reference || parent_ok parent then Ok ()
@@ -292,8 +302,8 @@ let request_explicit protocol ~txn ?(duration = Lock_table.Short) node mode =
         else
           Error
             (Parent_not_locked
-               { node; parent; needed;
-                 held = effective_mode protocol ~txn parent })
+               { node; parent = parent.id; needed;
+                 held = effective_mode_of protocol ~txn parent })
     in
     match precondition with
     | Error _ as error -> error
@@ -302,15 +312,12 @@ let request_explicit protocol ~txn ?(duration = Lock_table.Short) node mode =
          caller is responsible for the explicit parent chain (checked
          above). *)
       let builder = Plan_builder.create () in
-      if current.Instance_graph.entry_point then
-        List.iter
-          (fun parent ->
-            Plan_builder.add builder parent
-              (Lock_mode.intention_for mode)
-              Upward_propagation)
-          (Units.superunit_parents protocol.graph ~root:node);
-      Plan_builder.add builder node mode Requested;
-      add_downward_propagation protocol ~txn builder node mode;
+      if current.entry_point then
+        add_chain builder
+          (Instance_graph.ancestor_nodes graph current)
+          (Lock_mode.intention_for mode) Upward_propagation;
+      Plan_builder.add builder current mode Requested;
+      add_downward_propagation protocol ~txn builder current mode;
       Ok (run_plan protocol ~txn ~duration ~wait:true (Plan_builder.finish builder)))
 
 let release_node protocol ~txn node =

@@ -55,6 +55,9 @@ type step = {
   node : Node_id.t;
   mode : Lockmgr.Lock_mode.t;
   reason : reason;
+  resource : string;
+      (** the node's stored {!Instance_graph.node.resource}: the lock-table
+          key, computed once when the graph was built *)
 }
 
 val plan :
@@ -63,7 +66,9 @@ val plan :
 (** The full, ordered lock plan for the request (independent of what is
     already held; acquisition of covered steps is a no-op). Parents always
     precede descendants; duplicate nodes are merged with the supremum of
-    their modes at the earliest position.
+    their modes at the earliest position. Follows the compiled graph's
+    dense parent ids and memoised entry points, so no step is re-derived
+    from the subtree.
 
     [follow_references] (default [true]) is the §4.5 semantic refinement:
     when a query provably never accesses the referenced common data (e.g.

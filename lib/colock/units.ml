@@ -1,15 +1,14 @@
 let is_entry_point graph id = (Instance_graph.node_exn graph id).entry_point
 
 let unit_root graph id =
-  let rec climb id =
-    let current = Instance_graph.node_exn graph id in
-    if current.entry_point then id
+  let rec climb (current : Instance_graph.node) =
+    if current.entry_point then current.id
     else
-      match current.parent with
-      | None -> id  (* database node: root of the outer unit *)
+      match Instance_graph.parent_node graph current with
+      | None -> current.id  (* database node: root of the outer unit *)
       | Some parent -> climb parent
   in
-  climb id
+  climb (Instance_graph.node_exn graph id)
 
 let in_outer_unit graph id =
   Node_id.equal (unit_root graph id) (Instance_graph.root graph)
@@ -28,18 +27,9 @@ let superunit_parents graph ~root =
   Instance_graph.ancestors graph root
 
 let entry_points_below graph id =
-  (* Refs carried by the unit-local subtree of [id]: walk solid edges without
-     descending into entry points (their refs belong to their own units). *)
-  let rec collect accu id' =
-    let current = Instance_graph.node_exn graph id' in
-    if current.entry_point && not (Node_id.equal id' id) then accu
-    else
-      let accu = List.rev_append current.refs_out accu in
-      List.fold_left collect accu current.children
-  in
-  collect [] id
-  |> List.sort_uniq Nf2.Oid.compare
-  |> List.filter_map (Instance_graph.object_node graph)
+  List.map
+    (fun (entry : Instance_graph.node) -> entry.id)
+    (Instance_graph.entry_points_below graph (Instance_graph.node_exn graph id))
 
 let pp_unit graph formatter root =
   let members = unit_members graph ~root in

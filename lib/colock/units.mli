@@ -33,7 +33,8 @@ val superunit_parents : Instance_graph.t -> root:Node_id.t -> Node_id.t list
 val entry_points_below : Instance_graph.t -> Node_id.t -> Node_id.t list
 (** Entry points of the inner units accessible from the node via exactly one
     dashed hop (refs carried by the node's unit-local subtree). Not
-    transitive; the protocol's downward propagation iterates this. *)
+    transitive; the protocol's downward propagation iterates this. Memoised
+    per node (see {!Instance_graph.entry_points_below}). *)
 
 val pp_unit : Instance_graph.t -> Format.formatter -> Node_id.t -> unit
 (** Renders the unit rooted at the given node, for diagnostics and the Fig. 6

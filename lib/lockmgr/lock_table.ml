@@ -13,7 +13,8 @@ type waiter = {
   w_deadline : int option;  (* wait abandoned past this tick (timeouts) *)
   w_holders : Obs.Event.holder list;
       (* the granted group that blocked this request at enqueue time, so the
-         eventual queue-served grant can report who it was stuck behind *)
+         eventual queue-served grant can report who it was stuck behind;
+         only events read it, so an untraced table leaves it empty *)
 }
 
 type entry = {
@@ -49,6 +50,10 @@ let stats table = table.stats
 let obs table = table.obs
 let set_meta table meta = table.meta <- meta
 let resource_lu table resource = table.meta resource
+
+(* Every emitting site tests [traced] first, so an untraced table builds no
+   event payload: no mode string, no [meta] lookup, no record. *)
+let traced table = Option.is_some table.obs
 
 let emit table kind =
   match table.obs with
@@ -115,13 +120,13 @@ let incompatible_holders entry txn mode =
 
 (* The incompatible granted group as event payload: txn, held mode, and the
    resource's lockable-unit annotation. *)
-let blocking_holders table entry txn mode resource =
+let holder_payload table resource incompatible =
   let lu = table.meta resource in
   List.map
     (fun (holder, held_mode) ->
       { Obs.Event.h_txn = holder; h_mode = Lock_mode.to_string held_mode;
         h_lu = lu })
-    (incompatible_holders entry txn mode)
+    incompatible
 
 let sup_duration a b =
   match a, b with Long, _ | _, Long -> Long | Short, Short -> Short
@@ -139,11 +144,12 @@ let install_grant table entry txn mode duration resource =
     if not (Lock_mode.leq mode old_mode) then begin
       table.stats.Lock_stats.conversions <-
         table.stats.Lock_stats.conversions + 1;
-      emit table
-        (Obs.Event.Conversion
-           { txn; resource; from_mode = Lock_mode.to_string old_mode;
-             to_mode = Lock_mode.to_string (Lock_mode.sup old_mode mode);
-             lu = table.meta resource })
+      if traced table then
+        emit table
+          (Obs.Event.Conversion
+             { txn; resource; from_mode = Lock_mode.to_string old_mode;
+               to_mode = Lock_mode.to_string (Lock_mode.sup old_mode mode);
+               lu = table.meta resource })
     end
   | None ->
     entry.granted <- (txn, mode, duration) :: entry.granted;
@@ -174,14 +180,15 @@ let drain table resource entry =
   in
   let served = List.rev (serve []) in
   drop_entry_if_empty table resource entry;
-  List.iter
-    (fun (grant, holders) ->
-      emit table
-        (Obs.Event.Lock_granted
-           { txn = grant.g_txn; resource = grant.g_resource;
-             mode = Lock_mode.to_string grant.g_mode; immediate = false;
-             lu = table.meta grant.g_resource; holders }))
-    served;
+  if traced table then
+    List.iter
+      (fun (grant, holders) ->
+        emit table
+          (Obs.Event.Lock_granted
+             { txn = grant.g_txn; resource = grant.g_resource;
+               mode = Lock_mode.to_string grant.g_mode; immediate = false;
+               lu = table.meta grant.g_resource; holders }))
+      served;
   List.map fst served
 
 let enqueue entry waiter =
@@ -199,10 +206,11 @@ let already_waiting entry txn =
 
 let request table ~txn ?(duration = Short) ?deadline ~resource mode =
   table.stats.Lock_stats.requests <- table.stats.Lock_stats.requests + 1;
-  emit table
-    (Obs.Event.Lock_requested
-       { txn; resource; mode = Lock_mode.to_string mode;
-         lu = table.meta resource });
+  if traced table then
+    emit table
+      (Obs.Event.Lock_requested
+         { txn; resource; mode = Lock_mode.to_string mode;
+           lu = table.meta resource });
   let entry = entry_of table resource in
   let current =
     match held_triple entry txn with
@@ -216,10 +224,11 @@ let request table ~txn ?(duration = Short) ?deadline ~resource mode =
       install_grant table entry txn current Long resource;
     table.stats.Lock_stats.immediate_grants <-
       table.stats.Lock_stats.immediate_grants + 1;
-    emit table
-      (Obs.Event.Lock_granted
-         { txn; resource; mode = Lock_mode.to_string current;
-           immediate = true; lu = table.meta resource; holders = [] });
+    if traced table then
+      emit table
+        (Obs.Event.Lock_granted
+           { txn; resource; mode = Lock_mode.to_string current;
+             immediate = true; lu = table.meta resource; holders = [] });
     drop_entry_if_empty table resource entry;
     Granted
   end
@@ -236,10 +245,11 @@ let request table ~txn ?(duration = Short) ?deadline ~resource mode =
       install_grant table entry txn target duration resource;
       table.stats.Lock_stats.immediate_grants <-
         table.stats.Lock_stats.immediate_grants + 1;
-      emit table
-        (Obs.Event.Lock_granted
-           { txn; resource; mode = Lock_mode.to_string target;
-             immediate = true; lu = table.meta resource; holders = [] });
+      if traced table then
+        emit table
+          (Obs.Event.Lock_granted
+             { txn; resource; mode = Lock_mode.to_string target;
+               immediate = true; lu = table.meta resource; holders = [] });
       Log.debug (fun log ->
           log "T%d granted %s on %s" txn (Lock_mode.to_string target) resource);
       Granted
@@ -249,7 +259,11 @@ let request table ~txn ?(duration = Short) ?deadline ~resource mode =
       Log.debug (fun log ->
           log "T%d waits for %s on %s" txn (Lock_mode.to_string target)
             resource);
-      let holders = blocking_holders table entry txn target resource in
+      let incompatible = incompatible_holders entry txn target in
+      let holders =
+        if traced table then holder_payload table resource incompatible
+        else []
+      in
       if not (already_waiting entry txn) then begin
         enqueue entry
           { w_txn = txn; w_mode = target; w_duration = duration;
@@ -258,29 +272,31 @@ let request table ~txn ?(duration = Short) ?deadline ~resource mode =
         index_txn table txn resource
       end;
       let blockers =
-        match holders with
+        match incompatible with
         | [] ->
           (* Blocked by the FIFO rule only: we wait for whoever waits ahead. *)
           List.filter_map
             (fun waiter -> if waiter.w_txn <> txn then Some waiter.w_txn else None)
             entry.waiting
-        | holders -> List.map (fun { Obs.Event.h_txn; _ } -> h_txn) holders
+        | incompatible -> List.map fst incompatible
       in
       let blockers = List.sort_uniq Int.compare blockers in
-      emit table
-        (Obs.Event.Lock_waited
-           { txn; resource; mode = Lock_mode.to_string target; blockers;
-             lu = table.meta resource; holders });
+      if traced table then
+        emit table
+          (Obs.Event.Lock_waited
+             { txn; resource; mode = Lock_mode.to_string target; blockers;
+               lu = table.meta resource; holders });
       Waiting blockers
     end
   end
 
 let try_request table ~txn ?(duration = Short) ~resource mode =
   table.stats.Lock_stats.requests <- table.stats.Lock_stats.requests + 1;
-  emit table
-    (Obs.Event.Lock_requested
-       { txn; resource; mode = Lock_mode.to_string mode;
-         lu = table.meta resource });
+  if traced table then
+    emit table
+      (Obs.Event.Lock_requested
+         { txn; resource; mode = Lock_mode.to_string mode;
+           lu = table.meta resource });
   let entry = entry_of table resource in
   let current =
     match held_triple entry txn with
@@ -291,10 +307,11 @@ let try_request table ~txn ?(duration = Short) ~resource mode =
   if Lock_mode.equal target current then begin
     table.stats.Lock_stats.immediate_grants <-
       table.stats.Lock_stats.immediate_grants + 1;
-    emit table
-      (Obs.Event.Lock_granted
-         { txn; resource; mode = Lock_mode.to_string current;
-           immediate = true; lu = table.meta resource; holders = [] });
+    if traced table then
+      emit table
+        (Obs.Event.Lock_granted
+           { txn; resource; mode = Lock_mode.to_string current;
+             immediate = true; lu = table.meta resource; holders = [] });
     drop_entry_if_empty table resource entry;
     `Granted
   end
@@ -306,10 +323,11 @@ let try_request table ~txn ?(duration = Short) ~resource mode =
       install_grant table entry txn target duration resource;
       table.stats.Lock_stats.immediate_grants <-
         table.stats.Lock_stats.immediate_grants + 1;
-      emit table
-        (Obs.Event.Lock_granted
-           { txn; resource; mode = Lock_mode.to_string target;
-             immediate = true; lu = table.meta resource; holders = [] });
+      if traced table then
+        emit table
+          (Obs.Event.Lock_granted
+             { txn; resource; mode = Lock_mode.to_string target;
+               immediate = true; lu = table.meta resource; holders = [] });
       `Granted
     end
     else begin
@@ -337,8 +355,9 @@ let release table ~txn ~resource =
           entry.granted;
       table.entry_count <- table.entry_count - 1;
       table.stats.Lock_stats.releases <- table.stats.Lock_stats.releases + 1;
-      emit table
-        (Obs.Event.Lock_released { txn; resource; lu = table.meta resource })
+      if traced table then
+        emit table
+          (Obs.Event.Lock_released { txn; resource; lu = table.meta resource })
     end;
     let served = drain table resource entry in
     unindex_txn table txn resource entry;
@@ -406,9 +425,10 @@ let release_matching table ~txn keep_long =
           table.entry_count <- table.entry_count - 1;
           table.stats.Lock_stats.releases <-
             table.stats.Lock_stats.releases + 1;
-          emit table
-            (Obs.Event.Lock_released
-               { txn; resource; lu = table.meta resource })
+          if traced table then
+            emit table
+              (Obs.Event.Lock_released
+                 { txn; resource; lu = table.meta resource })
         end;
         let served =
           if drop_grant || dropped_wait then drain table resource entry else []

@@ -32,9 +32,10 @@ val create :
 
     [?meta] resolves a resource string to its lockable-unit annotation
     (granule kind and depth); every lock event the table emits for that
-    resource carries the result. The table itself knows nothing about lock
-    graphs, so the default resolves everything to [None] — the colock
-    protocol installs the real resolver via {!set_meta}. *)
+    resource carries the result. It is consulted only to build an event, so
+    a table without a sink never calls it. The table itself knows nothing
+    about lock graphs, so the default resolves everything to [None] — the
+    colock protocol installs the real resolver via {!set_meta}. *)
 
 val stats : t -> Lock_stats.t
 

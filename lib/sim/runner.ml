@@ -106,6 +106,10 @@ type sim = {
 
 let state_of sim txn = sim.states.(txn - 1)
 
+(* Every emitting site tests [traced] first, so an untraced run builds no
+   event payload. *)
+let traced sim = Option.is_some sim.obs
+
 let emit sim kind =
   match sim.obs with
   | None -> ()
@@ -124,7 +128,7 @@ let with_breaker sim ~default f =
     let result = f breaker in
     let after = Robust.Breaker.state breaker in
     if before <> after then
-      emit sim
+      if traced sim then emit sim
         (Obs.Event.Breaker
            { from_state = Robust.Breaker.state_to_string before;
              to_state = Robust.Breaker.state_to_string after });
@@ -197,13 +201,13 @@ and abort_and_restart sim time ~reason state =
      sim.deadlock_aborts <- sim.deadlock_aborts + 1;
      stats.Lockmgr.Lock_stats.victim_aborts <-
        stats.Lockmgr.Lock_stats.victim_aborts + 1;
-     emit sim
+     if traced sim then emit sim
        (Obs.Event.Victim_aborted { txn = state.txn; restarts = state.restarts })
    | Timeout ->
      sim.timeout_aborts <- sim.timeout_aborts + 1;
      stats.Lockmgr.Lock_stats.timeout_aborts <-
        stats.Lockmgr.Lock_stats.timeout_aborts + 1;
-     emit sim
+     if traced sim then emit sim
        (Obs.Event.Timeout_abort
           { txn = state.txn; resource = waited_on; waited = blocked_wait;
             lu = Table.resource_lu sim.table waited_on })
@@ -216,7 +220,8 @@ and abort_and_restart sim time ~reason state =
     state.status <- Gave_up;
     (* record when the job abandoned, so response time accounts for it *)
     state.commit_time <- time;
-    emit sim (Obs.Event.Txn_abort { txn = state.txn; reason });
+    if traced sim then
+      emit sim (Obs.Event.Txn_abort { txn = state.txn; reason });
     admission_exit sim time state
   in
   if state.restarts > sim.config.max_restarts then give_up "gave_up"
@@ -225,7 +230,7 @@ and abort_and_restart sim time ~reason state =
       match sim.budget with
       | Some budget when not (Robust.Budget.try_retry budget) ->
         sim.retry_denied <- sim.retry_denied + 1;
-        emit sim
+        if traced sim then emit sim
           (Obs.Event.Retry_denied
              { txn = state.txn; restarts = state.restarts });
         true
@@ -266,7 +271,7 @@ and crash sim time ~reason state =
   state.status <- Crashed;
   state.commit_time <- time;
   sim.crashed <- sim.crashed + 1;
-  emit sim (Obs.Event.Txn_abort { txn = state.txn; reason });
+  if traced sim then emit sim (Obs.Event.Txn_abort { txn = state.txn; reason });
   admission_exit sim time state;
   process_grants sim time (cancel_grants @ release_grants)
 
@@ -278,7 +283,7 @@ and resolve_deadlocks sim time requester =
     let stats = Table.stats sim.table in
     stats.Lockmgr.Lock_stats.deadlocks <-
       stats.Lockmgr.Lock_stats.deadlocks + 1;
-    emit sim (Obs.Event.Deadlock_detected { cycle });
+    if traced sim then emit sim (Obs.Event.Deadlock_detected { cycle });
     let candidates =
       List.map
         (fun txn ->
@@ -294,7 +299,8 @@ and resolve_deadlocks sim time requester =
     if victim_txn = requester then true else resolve_deadlocks sim time requester
 
 and contention_abort sim time ~policy ~depth victim =
-  emit sim (Obs.Event.Contention_abort { txn = victim.txn; policy; depth });
+  if traced sim then
+    emit sim (Obs.Event.Contention_abort { txn = victim.txn; policy; depth });
   abort_and_restart sim time ~reason:Contention victim
 
 (* Thomasian-style restart policies, applied the moment a request starts
@@ -356,7 +362,7 @@ let rec continue_locking sim time state =
       (* all steps done: commit *)
       state.status <- Committed;
       state.commit_time <- time;
-      emit sim (Obs.Event.Txn_commit { txn = state.txn });
+      if traced sim then emit sim (Obs.Event.Txn_commit { txn = state.txn });
       (match sim.budget with
        | Some budget -> Robust.Budget.on_commit budget
        | None -> ());
@@ -386,7 +392,7 @@ let rec continue_locking sim time state =
           (Finish state))
   end
   | request :: rest -> (
-    let resource = Technique.(Colock.Node_id.to_resource request.node) in
+    let resource = request.Technique.resource in
     let deadline =
       match Policy.timeout_of sim.config.resolution with
       | None -> None
@@ -414,7 +420,9 @@ let start_step sim time state =
   | Some step ->
     state.status <- Locking;
     state.pending <- step.plan state.txn;
-    emit sim (Obs.Event.Sim_step { txn = state.txn; step = state.step_index });
+    if traced sim then
+      emit sim
+        (Obs.Event.Sim_step { txn = state.txn; step = state.step_index });
     continue_locking sim time state
 
 (* The entry gate. [true] means the job may begin now; [false] means it was
@@ -430,7 +438,7 @@ let admission_gate sim time state =
         victim.commit_time <- time;
         victim.admitted <- false;
         sim.shed <- sim.shed + 1;
-        emit sim
+        if traced sim then emit sim
           (Obs.Event.Admission
              { txn = victim.txn; priority = priority_label victim;
                decision = "shed" })
@@ -443,7 +451,7 @@ let admission_gate sim time state =
         state.admitted <- true;
         true
       | Robust.Admission.Enqueued { evicted } ->
-        emit sim
+        if traced sim then emit sim
           (Obs.Event.Admission
              { txn = state.txn; priority = priority_label state;
                decision = "queued" });
@@ -461,7 +469,7 @@ let handle sim time = function
     match state.status with
     | Idle ->
       if admission_gate sim time state then begin
-        emit sim (Obs.Event.Txn_begin { txn = state.txn });
+        if traced sim then emit sim (Obs.Event.Txn_begin { txn = state.txn });
         start_step sim time state
       end
     | Locking | Waiting | Accessing | Committed | Gave_up | Crashed | Shed ->
@@ -517,7 +525,9 @@ let handle sim time = function
     | Accessing -> crash sim time ~reason:"hog" state
     | Idle | Locking | Waiting | Committed | Gave_up | Crashed | Shed -> ())
   | Snapshot -> (
-    emit sim (Obs.Event.Waits_for { edges = Table.waits_for_edges sim.table });
+    if traced sim then
+      emit sim
+        (Obs.Event.Waits_for { edges = Table.waits_for_edges sim.table });
     (* only reschedule while real work remains queued, or the drain loop
        would follow snapshots forever *)
     match sim.config.snapshot_every with
@@ -540,7 +550,7 @@ let handle sim time = function
         with
        | Robust.Controller.Unchanged -> ()
        | Robust.Controller.Raised limit | Robust.Controller.Lowered limit ->
-         emit sim
+         if traced sim then emit sim
            (Obs.Event.Admission_limit
               { limit;
                 inflight = Robust.Admission.inflight admission;

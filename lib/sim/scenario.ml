@@ -31,25 +31,21 @@ let op_node_mode = function
 
 (* The complex object containing an instance node (self included). *)
 let containing_object graph node_id =
-  let rec climb node_id =
-    let node = Graph.node_exn graph node_id in
-    match node.Graph.oid with
+  let rec climb (node : Graph.node) =
+    match node.oid with
     | Some oid -> Some oid
     | None -> (
-      match node.Graph.parent with
+      match Graph.parent_node graph node with
       | Some parent -> climb parent
       | None -> None)
   in
-  climb node_id
+  climb (Graph.node_exn graph node_id)
 
 let compile_op graph technique op txn =
   let node, mode = op_node_mode op in
   match technique with
   | Proposed protocol ->
-    List.map
-      (fun { Colock.Protocol.node; mode; _ } ->
-        { Technique.node; mode })
-      (Colock.Protocol.plan protocol ~txn node mode)
+    List.map Technique.of_step (Colock.Protocol.plan protocol ~txn node mode)
   | Whole_object -> (
     match containing_object graph node with
     | Some oid -> Baselines.Whole_object.plan graph ~oid mode

@@ -17,6 +17,7 @@ type t = {
   mutable next_id : int;
   mutable next_ticket : int;
   txns : (Table.txn_id, Transaction.t) Hashtbl.t;
+      (* live transactions only: [commit] and [abort] remove theirs *)
   admission : Robust.Admission.t option;
   queued : (int, Transaction.kind * Robust.Admission.priority) Hashtbl.t;
   slots : (Table.txn_id, unit) Hashtbl.t;
@@ -40,6 +41,10 @@ let protocol manager = manager.protocol
 let config manager = manager.config
 let admission manager = manager.admission
 
+(* Every emitting site tests [traced] first, so an untraced manager builds
+   no event payload. *)
+let traced manager = Option.is_some manager.obs
+
 let emit manager kind =
   match manager.obs with
   | None -> ()
@@ -53,7 +58,7 @@ let begin_txn ?(kind = Transaction.Short) manager =
       status = Transaction.Active; restarts = 0 }
   in
   Hashtbl.replace manager.txns id txn;
-  emit manager (Obs.Event.Txn_begin { txn = id });
+  if traced manager then emit manager (Obs.Event.Txn_begin { txn = id });
   txn
 
 type begin_outcome =
@@ -77,30 +82,34 @@ let try_begin ?(kind = Transaction.Short)
     | Robust.Admission.Admitted -> Started (start_admitted manager kind)
     | Robust.Admission.Enqueued { evicted } ->
       Hashtbl.replace manager.queued ticket (kind, priority);
-      emit manager
-        (Obs.Event.Admission
-           { txn = ticket;
-             priority = Robust.Admission.priority_to_string priority;
-             decision = "queued" });
+      if traced manager then
+        emit manager
+          (Obs.Event.Admission
+             { txn = ticket;
+               priority = Robust.Admission.priority_to_string priority;
+               decision = "queued" });
       (match evicted with
       | None -> ()
       | Some victim ->
-        let victim_priority =
-          match Hashtbl.find_opt manager.queued victim with
-          | Some (_kind, prio) -> Robust.Admission.priority_to_string prio
-          | None -> "unknown"
-        in
-        Hashtbl.remove manager.queued victim;
-        emit manager
-          (Obs.Event.Admission
-             { txn = victim; priority = victim_priority; decision = "shed" }));
+        if traced manager then begin
+          let victim_priority =
+            match Hashtbl.find_opt manager.queued victim with
+            | Some (_kind, prio) -> Robust.Admission.priority_to_string prio
+            | None -> "unknown"
+          in
+          emit manager
+            (Obs.Event.Admission
+               { txn = victim; priority = victim_priority; decision = "shed" })
+        end;
+        Hashtbl.remove manager.queued victim);
       Queued ticket
     | Robust.Admission.Rejected ->
-      emit manager
-        (Obs.Event.Admission
-           { txn = ticket;
-             priority = Robust.Admission.priority_to_string priority;
-             decision = "shed" });
+      if traced manager then
+        emit manager
+          (Obs.Event.Admission
+             { txn = ticket;
+               priority = Robust.Admission.priority_to_string priority;
+               decision = "shed" });
       Shed)
 
 let drain_admitted manager =
@@ -134,15 +143,10 @@ let release_slot manager txn =
 let find manager id = Hashtbl.find_opt manager.txns id
 
 let active_txns manager =
-  Hashtbl.fold
-    (fun _id txn accu -> if Transaction.is_active txn then txn :: accu else accu)
-    manager.txns []
+  Hashtbl.fold (fun _id txn accu -> txn :: accu) manager.txns []
   |> List.sort (fun a b -> Int.compare a.Transaction.id b.Transaction.id)
 
-let active_count manager =
-  Hashtbl.fold
-    (fun _id txn count -> if Transaction.is_active txn then count + 1 else count)
-    manager.txns 0
+let active_count manager = Hashtbl.length manager.txns
 
 type acquire_outcome =
   | Granted
@@ -159,22 +163,26 @@ let abort manager ?(reason = Transaction.User_abort) txn =
     Protocol.end_of_transaction manager.protocol ~txn:txn.Transaction.id
   in
   txn.Transaction.status <- Transaction.Aborted reason;
-  let reason_text =
-    match reason with
-    | Transaction.User_abort -> "user"
-    | Transaction.Deadlock_victim -> "deadlock_victim"
-    | Transaction.Timeout_victim -> "timeout_victim"
-  in
-  emit manager
-    (Obs.Event.Txn_abort { txn = txn.Transaction.id; reason = reason_text });
+  Hashtbl.remove manager.txns txn.Transaction.id;
+  if traced manager then begin
+    let reason_text =
+      match reason with
+      | Transaction.User_abort -> "user"
+      | Transaction.Deadlock_victim -> "deadlock_victim"
+      | Transaction.Timeout_victim -> "timeout_victim"
+    in
+    emit manager
+      (Obs.Event.Txn_abort { txn = txn.Transaction.id; reason = reason_text })
+  end;
   (match reason with
    | Transaction.Deadlock_victim ->
      let stats = Table.stats table in
      stats.Lockmgr.Lock_stats.victim_aborts <-
        stats.Lockmgr.Lock_stats.victim_aborts + 1;
-     emit manager
-       (Obs.Event.Victim_aborted
-          { txn = txn.Transaction.id; restarts = txn.Transaction.restarts })
+     if traced manager then
+       emit manager
+         (Obs.Event.Victim_aborted
+            { txn = txn.Transaction.id; restarts = txn.Transaction.restarts })
    | Transaction.Timeout_victim ->
      let stats = Table.stats table in
      stats.Lockmgr.Lock_stats.timeout_aborts <-
@@ -210,7 +218,8 @@ let resolve_deadlock manager txn =
       let stats = Table.stats table in
       stats.Lockmgr.Lock_stats.deadlocks <-
         stats.Lockmgr.Lock_stats.deadlocks + 1;
-      emit manager (Obs.Event.Deadlock_detected { cycle });
+      if traced manager then
+        emit manager (Obs.Event.Deadlock_detected { cycle });
       let candidates =
         List.map
           (fun id ->
@@ -286,10 +295,11 @@ let expire_timeouts ?now manager =
         | Some txn when Transaction.is_active txn ->
           (* a multi-resource waiter appears once per expired wait; the
              first abort finishes it, so the rest fall through here *)
-          emit manager
-            (Obs.Event.Timeout_abort
-               { txn = id; resource; waited = timeout;
-                 lu = Table.resource_lu table resource });
+          if traced manager then
+            emit manager
+              (Obs.Event.Timeout_abort
+                 { txn = id; resource; waited = timeout;
+                   lu = Table.resource_lu table resource });
           let grants = abort manager ~reason:Transaction.Timeout_victim txn in
           let (_ : Transaction.t list) = unblocked manager grants in
           Some txn
@@ -308,6 +318,8 @@ let commit ?(release_long = false) manager txn =
         ~txn:txn.Transaction.id
   in
   txn.Transaction.status <- Transaction.Committed;
-  emit manager (Obs.Event.Txn_commit { txn = txn.Transaction.id });
+  Hashtbl.remove manager.txns txn.Transaction.id;
+  if traced manager then
+    emit manager (Obs.Event.Txn_commit { txn = txn.Transaction.id });
   release_slot manager txn;
   grants

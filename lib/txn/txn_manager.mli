@@ -61,11 +61,15 @@ val drain_admitted : t -> Transaction.t list
     oldest first. Call after {!commit} or {!abort}. *)
 
 val find : t -> Lockmgr.Lock_table.txn_id -> Transaction.t option
+(** Live transactions only: {!commit} and {!abort} forget the transaction
+    they finish, so the manager retains nothing per finished transaction. *)
+
 val active_txns : t -> Transaction.t list
+(** The live transactions, by id; O(live transactions). *)
 
 val active_count : t -> int
-(** [List.length (active_txns m)] without building the list — the live
-    active-transaction level a monitor gauge should agree with. *)
+(** [List.length (active_txns m)] in O(1) — the live active-transaction
+    level a monitor gauge should agree with. *)
 
 type acquire_outcome =
   | Granted

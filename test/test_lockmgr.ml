@@ -627,6 +627,84 @@ let qcheck_cases =
     [ prop_compat_symmetric; prop_sup_commutative; prop_sup_associative;
       prop_sup_idempotent; prop_sup_upper_bound; prop_stronger_conflicts_more ]
 
+(* Every emitting operation once: immediate and covered grants, both
+   try_request outcomes, a wait behind a granted group, a conversion that
+   waits and then jumps the queue, downgrade, cancel_wait, release and
+   release_all. *)
+let event_script table =
+  let request txn resource mode =
+    ignore (Table.request table ~txn ~resource mode : Table.outcome)
+  in
+  let try_request txn resource mode =
+    ignore
+      (Table.try_request table ~txn ~resource mode
+        : [ `Granted | `Would_block of Table.txn_id list ])
+  in
+  let settle grants = ignore (grants : Table.grant list) in
+  request 1 "r" Mode.S;
+  request 1 "r" Mode.IS;
+  request 2 "r" Mode.S;
+  try_request 3 "r" Mode.X;
+  try_request 3 "q" Mode.X;
+  request 3 "r" Mode.X;
+  request 1 "r" Mode.X;
+  settle (Table.downgrade table ~txn:2 ~resource:"r" Mode.IS);
+  settle (Table.cancel_wait table ~txn:3);
+  settle (Table.release table ~txn:2 ~resource:"r");
+  settle (Table.release_all table ~txn:1);
+  settle (Table.release_all table ~txn:3)
+
+(* The script's events as the table emitted them before payloads were
+   gated on the sink. *)
+let script_events =
+  [ {|{"event": "lock_requested","time": 0,"txn": 1,"resource": "r","mode": "S","lu": "BLU","depth": 1}|};
+    {|{"event": "lock_granted","time": 0,"txn": 1,"resource": "r","mode": "S","immediate": true,"lu": "BLU","depth": 1}|};
+    {|{"event": "lock_requested","time": 0,"txn": 1,"resource": "r","mode": "IS","lu": "BLU","depth": 1}|};
+    {|{"event": "lock_granted","time": 0,"txn": 1,"resource": "r","mode": "S","immediate": true,"lu": "BLU","depth": 1}|};
+    {|{"event": "lock_requested","time": 0,"txn": 2,"resource": "r","mode": "S","lu": "BLU","depth": 1}|};
+    {|{"event": "lock_granted","time": 0,"txn": 2,"resource": "r","mode": "S","immediate": true,"lu": "BLU","depth": 1}|};
+    {|{"event": "lock_requested","time": 0,"txn": 3,"resource": "r","mode": "X","lu": "BLU","depth": 1}|};
+    {|{"event": "lock_requested","time": 0,"txn": 3,"resource": "q","mode": "X","lu": "BLU","depth": 1}|};
+    {|{"event": "lock_granted","time": 0,"txn": 3,"resource": "q","mode": "X","immediate": true,"lu": "BLU","depth": 1}|};
+    {|{"event": "lock_requested","time": 0,"txn": 3,"resource": "r","mode": "X","lu": "BLU","depth": 1}|};
+    {|{"event": "lock_waited","time": 0,"txn": 3,"resource": "r","mode": "X","blockers": [1,2],"lu": "BLU","depth": 1,"holders": [{"txn": 1,"mode": "S","lu": "BLU","depth": 1},{"txn": 2,"mode": "S","lu": "BLU","depth": 1}]}|};
+    {|{"event": "lock_requested","time": 0,"txn": 1,"resource": "r","mode": "X","lu": "BLU","depth": 1}|};
+    {|{"event": "lock_waited","time": 0,"txn": 1,"resource": "r","mode": "X","blockers": [2],"lu": "BLU","depth": 1,"holders": [{"txn": 2,"mode": "S","lu": "BLU","depth": 1}]}|};
+    {|{"event": "lock_released","time": 0,"txn": 2,"resource": "r","lu": "BLU","depth": 1}|};
+    {|{"event": "conversion","time": 0,"txn": 1,"resource": "r","from": "S","to": "X","lu": "BLU","depth": 1}|};
+    {|{"event": "lock_granted","time": 0,"txn": 1,"resource": "r","mode": "X","immediate": false,"lu": "BLU","depth": 1,"holders": [{"txn": 2,"mode": "S","lu": "BLU","depth": 1}]}|};
+    {|{"event": "lock_released","time": 0,"txn": 1,"resource": "r","lu": "BLU","depth": 1}|};
+    {|{"event": "lock_released","time": 0,"txn": 3,"resource": "q","lu": "BLU","depth": 1}|} ]
+
+let test_table_untraced_does_no_event_work () =
+  let calls = ref 0 in
+  let meta resource =
+    incr calls;
+    Some { Obs.Event.lu_kind = "BLU"; lu_depth = String.length resource }
+  in
+  let untraced = Table.create ~meta () in
+  event_script untraced;
+  check_int "no meta lookup without a sink" 0 !calls;
+  let emitted = ref [] in
+  let sink =
+    Obs.Sink.create
+      [ (fun event ->
+          emitted := Obs.Json.to_string (Obs.Event.to_json event) :: !emitted)
+      ]
+  in
+  let traced = Table.create ~obs:sink ~meta () in
+  event_script traced;
+  Alcotest.(check (list string))
+    "traced events unchanged" script_events (List.rev !emitted);
+  let counters table =
+    let stats = Table.stats table in
+    Lockmgr.Lock_stats.
+      [ stats.requests; stats.immediate_grants; stats.waits;
+        stats.conversions; stats.conflict_tests; stats.releases ]
+  in
+  Alcotest.(check (list int))
+    "counters agree" (counters traced) (counters untraced)
+
 let () =
   Alcotest.run "lockmgr"
     [ ("lock_mode",
@@ -665,7 +743,9 @@ let () =
          Alcotest.test_case "check_invariants clean" `Quick
            test_table_check_invariants_clean;
          Alcotest.test_case "waits_for edges" `Quick
-           test_table_waits_for_edges ]);
+           test_table_waits_for_edges;
+         Alcotest.test_case "untraced does no event work" `Quick
+           test_table_untraced_does_no_event_work ]);
       ("deadlock",
        [ Alcotest.test_case "simple cycle" `Quick test_deadlock_simple_cycle;
          Alcotest.test_case "no cycle" `Quick test_deadlock_no_cycle;

@@ -526,6 +526,329 @@ let prop_sim_accounting =
       && metrics.Sim.Metrics.makespan >= mix.Sim.Scenario.access_cost
       && Table.entry_count table = 0)
 
+(* --------------------------------------------------------- compiled graph *)
+
+(* Fresh, mutable databases for the insert/delete properties: the shapes
+   of [Generator.manufacturing] and [Generator.deep], plus nested libraries
+   (common data that again contains common data). *)
+let dml_database index =
+  match index mod 3 with
+  | 0 ->
+    Workload.Generator.manufacturing
+      { Workload.Generator.cells = 3; objects_per_cell = 2;
+        robots_per_cell = 3; effectors = 4; effectors_per_robot = 2;
+        seed = 13 }
+  | 1 ->
+    Workload.Generator.deep
+      { Workload.Generator.depth = 2; fanout = 2; objects = 3; share = true;
+        parts = 3; seed = 3 }
+  | _ ->
+    Workload.Generator.nested
+      { Workload.Generator.levels = 3; per_level = 3; refs_per_object = 2;
+        nested_seed = 5 }
+
+let pick state list = List.nth list (Random.State.int state (List.length list))
+
+(* Every reference re-pointed at a random live object of its relation, so
+   inserts change which entry points a subtree reaches. *)
+let rec retarget db state value =
+  match value with
+  | Value.Ref oid -> (
+    let relation = Oid.relation oid in
+    match Nf2.Database.relation db relation with
+    | Some store when Nf2.Relation.cardinality store > 0 ->
+      Value.ref_to ~relation ~key:(pick state (Nf2.Relation.keys store))
+    | Some _ | None -> value)
+  | Value.Tuple bindings ->
+    Value.Tuple
+      (List.map (fun (field, sub) -> (field, retarget db state sub)) bindings)
+  | Value.Set members -> Value.Set (List.map (retarget db state) members)
+  | Value.List members -> Value.List (List.map (retarget db state) members)
+  | Value.Str _ | Value.Int _ | Value.Real _ | Value.Bool _ -> value
+
+(* One structural change, made the way [Query.Executor] makes it: insert a
+   re-pointed copy of a random object under a fresh key, or delete a random
+   object the graph lets go of (it refuses referenced ones). Returns the
+   resources the change added. *)
+let random_dml db graph state step =
+  let store = pick state (Nf2.Database.relations db) in
+  let schema = Nf2.Relation.schema store in
+  match Nf2.Relation.objects store with
+  | [] -> []
+  | objects ->
+    let key, value = pick state objects in
+    if Random.State.bool state then begin
+      let fresh = Printf.sprintf "%s_%d" key step in
+      let value =
+        match retarget db state value with
+        | Value.Tuple bindings ->
+          Value.Tuple
+            (List.map
+               (fun (field, sub) ->
+                 if String.equal field schema.Nf2.Schema.key then
+                   (field, Value.Str fresh)
+                 else (field, sub))
+               bindings)
+        | other -> other
+      in
+      match Nf2.Database.insert db schema.Nf2.Schema.rel_name value with
+      | Error _ -> []
+      | Ok _oid -> (
+        match
+          Graph.insert_object graph (Nf2.Database.catalog db) schema
+            ~key:fresh value
+        with
+        | Ok node ->
+          List.filter_map
+            (fun (current : Graph.node) ->
+              if Node_id.is_ancestor ~ancestor:node current.id then
+                Some current.resource
+              else None)
+            (Graph.fold (fun current accu -> current :: accu) graph [])
+        | Error message -> failwith message)
+    end
+    else begin
+      let oid = Oid.make ~relation:schema.Nf2.Schema.rel_name ~key in
+      match Graph.delete_object graph oid with
+      | Error _ -> []
+      | Ok () -> (
+        match Nf2.Database.delete db oid with
+        | Ok () -> []
+        | Error _ -> failwith "database refused a delete the graph made")
+    end
+
+let dml_case =
+  QCheck.make
+    ~print:(fun (db, seed, steps) ->
+      Printf.sprintf "db=%d seed=%d steps=%d" db seed steps)
+    QCheck.Gen.(triple (int_range 0 2) (int_range 0 9_999) (int_range 1 25))
+
+let graph_nodes graph = Graph.fold (fun node accu -> node :: accu) graph []
+
+let prop_maintained_graph_equals_rebuild =
+  QCheck.Test.make
+    ~name:"inserts/deletes keep the graph equal to a fresh build" ~count:100
+    dml_case
+    (fun (db_index, seed, steps) ->
+      let db = dml_database db_index in
+      let graph = Graph.build db in
+      let state = Random.State.make [| seed |] in
+      let resources =
+        ref
+          (List.map
+             (fun (node : Graph.node) -> node.resource)
+             (graph_nodes graph))
+      in
+      for step = 1 to steps do
+        resources := random_dml db graph state step @ !resources
+      done;
+      let rebuilt = Graph.build db in
+      let same_node (node : Graph.node) =
+        match Graph.node rebuilt node.id with
+        | None -> false
+        | Some other ->
+          let parent_id (graph, node) =
+            Option.map
+              (fun (parent : Graph.node) -> parent.id)
+              (Graph.parent_node graph node)
+          in
+          List.equal Node_id.equal node.children other.children
+          && Bool.equal node.entry_point other.entry_point
+          && Colock.Lockable.equal node.kind other.kind
+          && List.equal Oid.equal node.refs_out other.refs_out
+          && String.equal node.resource (Node_id.to_resource node.id)
+          && Option.equal Node_id.equal (parent_id (graph, node))
+               (parent_id (rebuilt, other))
+          && (match node.oid with
+              | None -> true
+              | Some oid ->
+                List.equal Node_id.equal (Graph.referencers graph oid)
+                  (Graph.referencers rebuilt oid))
+      in
+      let lu graph resource = Graph.lu_resolver graph resource in
+      Graph.node_count graph = Graph.node_count rebuilt
+      && List.for_all same_node (graph_nodes graph)
+      && List.for_all
+           (fun resource -> lu graph resource = lu rebuilt resource)
+           !resources)
+
+(* The planner as it stood before the graph was compiled, kept as the
+   oracle: ancestors by hashed climbs over node ids, entry points by a walk,
+   sort and dedup of the unit-local subtree on every call, and a plan
+   builder keyed on node ids. *)
+module Reference_plan = struct
+  let ancestors graph id =
+    let rec climb accu id =
+      match Node_id.parent (Graph.node_exn graph id).Graph.id with
+      | None -> accu
+      | Some parent -> climb (parent :: accu) parent
+    in
+    climb [] id
+
+  let entry_points_below graph id =
+    let rec collect accu id' =
+      let current = Graph.node_exn graph id' in
+      if current.Graph.entry_point && not (Node_id.equal id' id) then accu
+      else
+        List.fold_left collect
+          (List.rev_append current.Graph.refs_out accu)
+          current.Graph.children
+    in
+    collect [] id
+    |> List.sort_uniq Oid.compare
+    |> List.filter_map (Graph.object_node graph)
+
+  let add positions order node mode reason =
+    match Hashtbl.find_opt positions node with
+    | Some cell ->
+      let first_node, first_mode, first_reason = !cell in
+      let reason =
+        match first_reason, reason with
+        | Protocol.Requested, _ | _, Protocol.Requested -> Protocol.Requested
+        | first, _ -> first
+      in
+      cell := (first_node, Mode.sup first_mode mode, reason)
+    | None ->
+      let cell = ref (node, mode, reason) in
+      Hashtbl.replace positions node cell;
+      order := cell :: !order
+
+  let data_mode = function
+    | Mode.X -> Mode.X
+    | Mode.S | Mode.SIX -> Mode.S
+    | Mode.NL | Mode.IS | Mode.IX -> Mode.NL
+
+  let plan graph ~rule ~rights ~txn ~follow_references node mode =
+    let positions = Hashtbl.create 32 and order = ref [] in
+    let add = add positions order in
+    List.iter
+      (fun ancestor ->
+        add ancestor (Mode.intention_for mode) Protocol.Ancestor_intention)
+      (ancestors graph node);
+    add node mode Protocol.Requested;
+    let entry_mode entry data =
+      match rule, data, (Graph.node_exn graph entry).Graph.relation with
+      | Protocol.Rule_4_prime, Mode.X, Some relation
+        when not (Authz.Rights.may_modify rights ~txn ~relation) ->
+        Mode.S
+      | _, _, _ -> data
+    in
+    let seen = Hashtbl.create 16 in
+    let rec propagate_from node data =
+      List.iter
+        (fun entry ->
+          let here = entry_mode entry data in
+          let cached = Hashtbl.find_opt seen entry in
+          match cached with
+          | Some previous when Mode.leq here previous -> ()
+          | Some _ | None ->
+            let merged =
+              match cached with
+              | Some previous -> Mode.sup previous here
+              | None -> here
+            in
+            Hashtbl.replace seen entry merged;
+            List.iter
+              (fun parent ->
+                add parent (Mode.intention_for here)
+                  Protocol.Upward_propagation)
+              (ancestors graph entry);
+            add entry here Protocol.Downward_propagation;
+            propagate_from entry (data_mode here))
+        (entry_points_below graph node)
+    in
+    if follow_references && not (Mode.equal (data_mode mode) Mode.NL) then
+      propagate_from node (data_mode mode);
+    List.rev_map (fun cell -> !cell) !order
+end
+
+let oracle_case =
+  QCheck.make
+    ~print:(fun ((db, seed, steps), requests) ->
+      Printf.sprintf "db=%d seed=%d steps=%d requests=%d" db seed steps
+        requests)
+    QCheck.Gen.(
+      pair
+        (triple (int_range 0 2) (int_range 0 9_999) (int_range 1 15))
+        (int_range 1 40))
+
+let prop_compiled_plan_matches_reference =
+  QCheck.Test.make
+    ~name:"compiled plan equals the uncompiled planner, across inserts/deletes"
+    ~count:100 oracle_case
+    (fun ((db_index, seed, steps), requests) ->
+      let db = dml_database db_index in
+      let graph = Graph.build db in
+      let state = Random.State.make [| seed |] in
+      let rights = Authz.Rights.create () in
+      List.iter
+        (fun store ->
+          Authz.Rights.set_relation_default rights
+            ~relation:(Nf2.Relation.name store) (Random.State.bool state))
+        (Nf2.Database.relations db);
+      for txn = 1 to 3 do
+        List.iter
+          (fun store ->
+            if Random.State.int state 4 = 0 then
+              Authz.Rights.grant_modify rights ~txn
+                ~relation:(Nf2.Relation.name store))
+          (Nf2.Database.relations db)
+      done;
+      let rule =
+        if Random.State.bool state then Protocol.Rule_4
+        else Protocol.Rule_4_prime
+      in
+      let protocol = Protocol.create ~rule ~rights graph (Table.create ()) in
+      let agrees node =
+        let mode = pick state [ Mode.IS; Mode.IX; Mode.S; Mode.SIX; Mode.X ] in
+        let txn = 1 + Random.State.int state 3 in
+        let follow_references = Random.State.int state 4 > 0 in
+        let compiled =
+          Protocol.plan protocol ~txn ~follow_references node mode
+        in
+        let expected =
+          Reference_plan.plan graph ~rule ~rights ~txn ~follow_references node
+            mode
+        in
+        List.length compiled = List.length expected
+        && List.for_all2
+             (fun (step : Protocol.step) (node, mode, reason) ->
+               Node_id.equal step.node node
+               && Mode.equal step.mode mode
+               && step.reason = reason
+               && String.equal step.resource (Node_id.to_resource step.node))
+             compiled expected
+      in
+      let sample () =
+        let all =
+          Array.of_list
+            (List.map (fun (node : Graph.node) -> node.id) (graph_nodes graph))
+        in
+        List.init requests (fun _ ->
+            all.(Random.State.int state (Array.length all)))
+      in
+      (* plan the upper levels and a sample (filling memos), change the
+         graph, re-plan them where they survived plus a fresh sample: a
+         stale memo would show. Inserts and deletes change the entry points
+         below the relation, segment and database nodes. *)
+      let upper =
+        List.filter_map
+          (fun (node : Graph.node) ->
+            if Node_id.depth node.id <= 3 then Some node.id else None)
+          (graph_nodes graph)
+      in
+      let planned = upper @ sample () in
+      let before = List.for_all agrees planned in
+      for step = 1 to steps do
+        ignore (random_dml db graph state step : string list)
+      done;
+      let survivors =
+        List.filter (fun id -> Option.is_some (Graph.node graph id)) planned
+      in
+      before
+      && List.for_all agrees survivors
+      && List.for_all agrees (sample ()))
+
 let () =
   Alcotest.run "properties"
     [ ("plan",
@@ -543,7 +866,11 @@ let () =
        List.map QCheck_alcotest.to_alcotest [ prop_parser_roundtrip ]);
       ("graph",
        List.map QCheck_alcotest.to_alcotest
-         [ prop_nodes_at_path_matches_projection ]);
+         [ prop_nodes_at_path_matches_projection;
+           prop_maintained_graph_equals_rebuild ]);
+      ("compiled plan",
+       List.map QCheck_alcotest.to_alcotest
+         [ prop_compiled_plan_matches_reference ]);
       ("statistics",
        List.map QCheck_alcotest.to_alcotest [ prop_statistics_sane ]);
       ("escalation",

@@ -13,7 +13,8 @@ let check_int = Alcotest.(check int)
 let node steps = Option.get (Node_id.of_steps steps)
 
 let request steps mode =
-  { Technique.node = node steps; mode }
+  let node = node steps in
+  { Technique.node; mode; resource = Node_id.to_resource node }
 
 let fixed_plan requests _txn = requests
 

@@ -54,6 +54,33 @@ let test_acquire_commit_cycle () =
   check_int "no locks left" 0
     (List.length (Table.locks_of env.table ~txn:t1.Txn.Transaction.id))
 
+let test_finished_txns_forgotten () =
+  let env = make_env () in
+  let manager = env.manager in
+  let last = ref [] in
+  for cycle = 1 to 10_000 do
+    let committed = Txn.Txn_manager.begin_txn manager in
+    (match Txn.Txn_manager.acquire manager committed robot_r1 Mode.X with
+     | Txn.Txn_manager.Granted -> ()
+     | _ -> Alcotest.fail "uncontended grant expected");
+    let (_ : Table.grant list) = Txn.Txn_manager.commit manager committed in
+    let aborted = Txn.Txn_manager.begin_txn manager in
+    let (_ : Table.grant list) = Txn.Txn_manager.abort manager aborted in
+    if cycle = 10_000 then last := [ committed; aborted ]
+  done;
+  check_int "nothing live" 0 (Txn.Txn_manager.active_count manager);
+  check_int "no live list" 0
+    (List.length (Txn.Txn_manager.active_txns manager));
+  List.iter
+    (fun txn ->
+      check_bool "finished id not found" true
+        (Txn.Txn_manager.find manager txn.Txn.Transaction.id = None))
+    !last;
+  let live = Txn.Txn_manager.begin_txn manager in
+  check_int "one live" 1 (Txn.Txn_manager.active_count manager);
+  check_bool "live id found" true
+    (Txn.Txn_manager.find manager live.Txn.Transaction.id = Some live)
+
 let test_acquire_after_finish_rejected () =
   let env = make_env () in
   let t1 = Txn.Txn_manager.begin_txn env.manager in
@@ -439,6 +466,8 @@ let () =
     [ ("manager",
        [ Alcotest.test_case "ids monotonic" `Quick test_begin_ids_monotonic;
          Alcotest.test_case "acquire/commit" `Quick test_acquire_commit_cycle;
+         Alcotest.test_case "finished transactions forgotten" `Quick
+           test_finished_txns_forgotten;
          Alcotest.test_case "no acquire after finish" `Quick
            test_acquire_after_finish_rejected;
          Alcotest.test_case "waiting and unblock" `Quick
