@@ -212,7 +212,7 @@ let e6_from_the_side () =
     let acquired =
       List.filter
         (fun (txn, robot) ->
-          match Protocol.try_acquire env.protocol ~txn robot Mode.X with
+          match Protocol.acquire env.protocol ~wait:false ~txn robot Mode.X with
           | Protocol.Acquired _ -> true
           | Protocol.Blocked _ ->
             let (_ : Table.grant list) = Table.release_all env.table ~txn in
@@ -720,7 +720,7 @@ let e13_deescalation () =
     let c1 = node [ "db1"; "seg1"; "cells"; "c1" ] in
     let r1 = node [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r1" ] in
     let c_objects = node [ "db1"; "seg1"; "cells"; "c1"; "c_objects" ] in
-    (match Protocol.try_acquire env.protocol ~txn:1 c1 Mode.X with
+    (match Protocol.acquire env.protocol ~wait:false ~txn:1 c1 Mode.X with
      | Protocol.Acquired _ -> ()
      | Protocol.Blocked _ -> invalid_arg "uncontended");
     if deescalate then begin
@@ -731,7 +731,7 @@ let e13_deescalation () =
       | Ok _grants -> ()
       | Error _ -> invalid_arg "de-escalation failed"
     end;
-    match Protocol.try_acquire env.protocol ~txn:2 c_objects Mode.S with
+    match Protocol.acquire env.protocol ~wait:false ~txn:2 c_objects Mode.S with
     | Protocol.Acquired _ -> "proceeds"
     | Protocol.Blocked _ -> "blocked"
   in

@@ -12,19 +12,15 @@ type outcome =
   | Acquired of int
   | Blocked of { request : request; blockers : Table.txn_id list }
 
-let acquire table ~txn ?(wait = true) requests =
+let acquire table ~txn ?wait requests =
   let rec walk issued = function
     | [] -> Acquired issued
     | request :: rest -> (
-      let resource = request.resource in
-      if wait then
-        match Table.request table ~txn ~resource request.mode with
-        | Table.Granted -> walk (issued + 1) rest
-        | Table.Waiting blockers -> Blocked { request; blockers }
-      else
-        match Table.try_request table ~txn ~resource request.mode with
-        | `Granted -> walk (issued + 1) rest
-        | `Would_block blockers -> Blocked { request; blockers })
+      match
+        Table.request table ~txn ?wait ~resource:request.resource request.mode
+      with
+      | Table.Granted -> walk (issued + 1) rest
+      | Table.Waiting blockers -> Blocked { request; blockers })
   in
   walk 0 requests
 

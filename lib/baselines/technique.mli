@@ -23,8 +23,9 @@ type outcome =
 val acquire :
   Lockmgr.Lock_table.t -> txn:Lockmgr.Lock_table.txn_id -> ?wait:bool ->
   request list -> outcome
-(** Issues the requests in order. With [wait] (default true) a conflict
-    leaves the transaction queued on the failing node; otherwise try-only. *)
+(** Issues the requests in order through {!Lockmgr.Lock_table.request},
+    passing [?wait] on: waiting (the default), a conflict leaves the
+    transaction queued on the failing node; otherwise nothing is queued. *)
 
 val with_ancestors :
   Colock.Instance_graph.t -> Colock.Node_id.t -> Lockmgr.Lock_mode.t ->

@@ -6,51 +6,39 @@ type t = {
   protocol : Protocol.t;
   mutex : Mutex.t;
   changed : Condition.t;
-  mutable poisoned : Int_set.t;  (* deadlock victims not yet cleaned up *)
+  mutable victims : Int_set.t;
+      (* deadlock victims whose locks are gone but whose [acquire] has not
+         yet returned [`Deadlock_victim] *)
 }
 
 let create protocol =
   { protocol; mutex = Mutex.create (); changed = Condition.create ();
-    poisoned = Int_set.empty }
+    victims = Int_set.empty }
 
 let protocol wrapper = wrapper.protocol
 
-(* Call with the mutex held. *)
-let cleanup_victim wrapper ~txn =
-  wrapper.poisoned <- Int_set.remove txn wrapper.poisoned;
+(* Call with the mutex held.  A transaction with a queued request is parked
+   in [acquire] (or is the requester), so its locks can go at once; it
+   learns its fate from [victims] when it runs again. *)
+let abort_victim wrapper txn =
   let table = Protocol.table wrapper.protocol in
-  let (_ : Table.grant list) = Table.cancel_wait table ~txn in
   let (_ : Table.grant list) =
     Protocol.end_of_transaction wrapper.protocol ~txn
   in
+  let stats = Table.stats table in
+  stats.Lockmgr.Lock_stats.victim_aborts <-
+    stats.Lockmgr.Lock_stats.victim_aborts + 1;
+  Protocol.emit wrapper.protocol
+    (Obs.Event.Victim_aborted { txn; restarts = 0 });
+  wrapper.victims <- Int_set.add txn wrapper.victims;
   Condition.broadcast wrapper.changed
-
-(* Call with the mutex held.  Returns [true] when [txn] was sacrificed.
-
-   Poisoning someone else does NOT make the cycle disappear immediately: the
-   victim is parked and only cleans up after it re-acquires the mutex. So
-   poison exactly once, wake everyone, and return — the caller parks on the
-   condition variable, and the next wakeup re-runs detection if the cycle is
-   still there (the deterministic victim choice keeps re-selecting the same,
-   already-poisoned transaction, so no second victim is sacrificed). *)
-let resolve_deadlock wrapper ~txn =
-  let table = Protocol.table wrapper.protocol in
-  match Lockmgr.Deadlock.find_cycle ~edges:(Table.waits_for_edges table) with
-  | None -> false
-  | Some cycle ->
-    let victim = Lockmgr.Deadlock.choose_victim cycle in
-    if victim = txn then true
-    else begin
-      wrapper.poisoned <- Int_set.add victim wrapper.poisoned;
-      Condition.broadcast wrapper.changed;
-      false
-    end
 
 let acquire wrapper ~txn ?duration ?follow_references node mode =
   Mutex.lock wrapper.mutex;
+  let table = Protocol.table wrapper.protocol in
   let rec attempt () =
-    if Int_set.mem txn wrapper.poisoned then begin
-      cleanup_victim wrapper ~txn;
+    if Int_set.mem txn wrapper.victims then begin
+      wrapper.victims <- Int_set.remove txn wrapper.victims;
       `Deadlock_victim
     end
     else
@@ -60,14 +48,19 @@ let acquire wrapper ~txn ?duration ?follow_references node mode =
       with
       | Protocol.Acquired _ -> `Granted
       | Protocol.Blocked _ ->
-        if resolve_deadlock wrapper ~txn then begin
-          cleanup_victim wrapper ~txn;
-          `Deadlock_victim
-        end
-        else begin
+        let sacrificed =
+          Lockmgr.Deadlock.resolve table ~obs:(Protocol.obs wrapper.protocol)
+            ~victim:Lockmgr.Policy.Youngest
+            ~candidate:(fun id ->
+              { Lockmgr.Policy.txn = id; birth = id; locks_held = 0;
+                work_done = 0 })
+            ~abort:(abort_victim wrapper) ~requester:txn
+        in
+        (* Park only while the step is still queued: another victim's
+           released locks may already have granted it. *)
+        if (not sacrificed) && Table.waiting_of table ~txn <> [] then
           Condition.wait wrapper.changed wrapper.mutex;
-          attempt ()
-        end
+        attempt ()
   in
   let outcome = attempt () in
   Mutex.unlock wrapper.mutex;
@@ -78,7 +71,7 @@ let end_of_transaction wrapper ~txn =
   let (_ : Table.grant list) =
     Protocol.end_of_transaction wrapper.protocol ~txn
   in
-  wrapper.poisoned <- Int_set.remove txn wrapper.poisoned;
+  wrapper.victims <- Int_set.remove txn wrapper.victims;
   Condition.broadcast wrapper.changed;
   Mutex.unlock wrapper.mutex
 

@@ -4,8 +4,12 @@
     The core {!Protocol} is a synchronous, deterministic data structure — the
     discrete-event simulator owns time there. This wrapper adds the classic
     blocking behaviour instead: {!acquire} parks the calling thread until the
-    whole lock plan is granted, releases wake waiters, and waits-for cycles
-    abort a victim (whose {!acquire} returns [`Deadlock_victim]).
+    whole lock plan is granted, and releases wake waiters. A blocked
+    {!acquire} runs {!Lockmgr.Deadlock.resolve}, the resolver the
+    transaction manager and the simulator use, with the [Youngest] policy
+    and the transaction id as birth, so the largest id in a cycle dies. Each
+    victim is counted and its locks are released at once; its {!acquire}
+    returns [`Deadlock_victim].
 
     All lock-table access is serialized by one mutex, so the underlying
     protocol needs no internal synchronization; threads block on a condition

@@ -41,7 +41,7 @@ let maybe_escalate protocol ~txn ~threshold ~parent =
           | Lock_mode.NL -> mode)
         Lock_mode.S children
     in
-    match Protocol.try_acquire protocol ~txn parent data_mode with
+    match Protocol.acquire protocol ~txn ~wait:false parent data_mode with
     | Protocol.Blocked { blockers; _ } -> Escalation_blocked { blockers }
     | Protocol.Acquired _steps ->
       List.iter
@@ -67,7 +67,7 @@ let deescalate protocol ~txn node ~keep =
   let rec acquire_keep = function
     | [] -> Ok ()
     | (child, mode) :: rest -> (
-      match Protocol.try_acquire protocol ~txn child mode with
+      match Protocol.acquire protocol ~txn ~wait:false child mode with
       | Protocol.Acquired _steps -> acquire_keep rest
       | Protocol.Blocked _ as blocked -> Error blocked)
   in

@@ -191,41 +191,23 @@ type outcome =
       acquired : step list;
     }
 
-let run_plan protocol ~txn ~duration ?deadline ~wait steps =
+let run_plan protocol ~txn ?wait ?duration ?deadline steps =
   let rec walk acquired = function
     | [] -> Acquired (List.rev acquired)
-    | step :: rest ->
-      let outcome =
-        if wait then
-          match
-            Lock_table.request protocol.table ~txn ~duration ?deadline
-              ~resource:step.resource step.mode
-          with
-          | Lock_table.Granted -> `Granted
-          | Lock_table.Waiting blockers -> `Blocked blockers
-        else
-          match
-            Lock_table.try_request protocol.table ~txn ~duration
-              ~resource:step.resource step.mode
-          with
-          | `Granted -> `Granted
-          | `Would_block blockers -> `Blocked blockers
-      in
-      (match outcome with
-       | `Granted -> walk (step :: acquired) rest
-       | `Blocked blockers ->
-         Blocked { step; blockers; acquired = List.rev acquired })
+    | step :: rest -> (
+      match
+        Lock_table.request protocol.table ~txn ?wait ?duration ?deadline
+          ~resource:step.resource step.mode
+      with
+      | Lock_table.Granted -> walk (step :: acquired) rest
+      | Lock_table.Waiting blockers ->
+        Blocked { step; blockers; acquired = List.rev acquired })
   in
   walk [] steps
 
-let acquire protocol ~txn ?(duration = Lock_table.Short) ?deadline
-    ?follow_references node mode =
-  run_plan protocol ~txn ~duration ?deadline ~wait:true
-    (plan protocol ~txn ?follow_references node mode)
-
-let try_acquire protocol ~txn ?(duration = Lock_table.Short) ?follow_references
-    node mode =
-  run_plan protocol ~txn ~duration ~wait:false
+let acquire protocol ~txn ?wait ?duration ?deadline ?follow_references node
+    mode =
+  run_plan protocol ~txn ?wait ?duration ?deadline
     (plan protocol ~txn ?follow_references node mode)
 
 let explicit_mode protocol ~txn (node : Instance_graph.node) =
@@ -270,7 +252,7 @@ let pp_protocol_violation formatter = function
       "no referencing node of entry point %a is %a-locked" Node_id.pp entry
       Lock_mode.pp needed
 
-let request_explicit protocol ~txn ?(duration = Lock_table.Short) node mode =
+let request_explicit protocol ~txn ?duration node mode =
   let graph = protocol.graph in
   match Instance_graph.node graph node with
   | None -> Error (Unknown_node node)
@@ -318,7 +300,7 @@ let request_explicit protocol ~txn ?(duration = Lock_table.Short) node mode =
           (Lock_mode.intention_for mode) Upward_propagation;
       Plan_builder.add builder current mode Requested;
       add_downward_propagation protocol ~txn builder current mode;
-      Ok (run_plan protocol ~txn ~duration ~wait:true (Plan_builder.finish builder)))
+      Ok (run_plan protocol ~txn ?duration (Plan_builder.finish builder)))
 
 let release_node protocol ~txn node =
   Lock_table.release protocol.table ~txn ~resource:(Node_id.to_resource node)

@@ -85,19 +85,15 @@ type outcome =
     }
 
 val acquire :
-  t -> txn:Lockmgr.Lock_table.txn_id -> ?duration:Lockmgr.Lock_table.duration ->
-  ?deadline:int -> ?follow_references:bool -> Node_id.t ->
-  Lockmgr.Lock_mode.t -> outcome
-(** Executes the plan. On [Blocked] the transaction is enqueued in the lock
-    table on the blocking node; re-call after the blocker releases.
-    [?deadline] stamps any wait this acquisition enters (see
-    {!Lockmgr.Lock_table.request}); enforcing it is the caller's job. *)
-
-val try_acquire :
-  t -> txn:Lockmgr.Lock_table.txn_id -> ?duration:Lockmgr.Lock_table.duration ->
+  t -> txn:Lockmgr.Lock_table.txn_id -> ?wait:bool ->
+  ?duration:Lockmgr.Lock_table.duration -> ?deadline:int ->
   ?follow_references:bool -> Node_id.t -> Lockmgr.Lock_mode.t -> outcome
-(** Like {!acquire} but never enqueues: on conflict it reports [Blocked]
-    without waiting (the plan prefix stays granted; release it or retry). *)
+(** Executes the plan, each step through {!Lockmgr.Lock_table.request}. On
+    [Blocked] with [?wait] (default [true]) the transaction is enqueued in
+    the lock table on the blocking node; re-call after the blocker releases.
+    With [~wait:false] nothing is enqueued: the plan prefix stays granted, so
+    release it or retry. [?deadline] stamps any wait this acquisition enters;
+    enforcing it is the caller's job. *)
 
 type protocol_violation =
   | Unknown_node of Node_id.t

@@ -55,13 +55,18 @@ let find_cycle ~edges =
       match found with Some _ -> found | None -> visit [] node)
     None nodes
 
-let choose_victim ?(priority = fun txn -> -txn) cycle =
-  match cycle with
-  | [] -> invalid_arg "Deadlock.choose_victim: empty cycle"
-  | first :: rest ->
-    List.fold_left
-      (fun victim candidate ->
-        let victim_key = (priority victim, -victim) in
-        let candidate_key = (priority candidate, -candidate) in
-        if compare candidate_key victim_key < 0 then candidate else victim)
-      first rest
+let resolve table ~obs ~victim ~candidate ~abort ~requester =
+  let rec loop () =
+    match find_cycle ~edges:(Lock_table.waits_for_edges table) with
+    | None -> false
+    | Some cycle ->
+      let stats = Lock_table.stats table in
+      stats.Lock_stats.deadlocks <- stats.Lock_stats.deadlocks + 1;
+      Option.iter
+        (fun sink -> Obs.Sink.emit sink (Obs.Event.Deadlock_detected { cycle }))
+        obs;
+      let chosen = Policy.choose_victim victim (List.map candidate cycle) in
+      abort chosen;
+      chosen = requester || loop ()
+  in
+  loop ()

@@ -2,7 +2,8 @@
 
     Locking techniques detect conflicts "usually when the corresponding data
     are accessed" (§1); blocked transactions can then form waits-for cycles,
-    which the transaction manager breaks by aborting a victim. *)
+    which {!resolve} breaks by aborting victims — for the transaction
+    manager, the simulator and the blocking front-end alike. *)
 
 val find_cycle :
   edges:(Lock_table.txn_id * Lock_table.txn_id) list ->
@@ -11,10 +12,15 @@ val find_cycle :
     for [t1]; [None] when the graph is acyclic. Deterministic: the cycle
     reachable from the smallest transaction id is returned. *)
 
-val choose_victim :
-  ?priority:(Lock_table.txn_id -> int) -> Lock_table.txn_id list ->
-  Lock_table.txn_id
-(** The cycle member with the smallest priority (ties: largest id). The
-    default priority is [-id], so the youngest (largest-id) transaction dies —
-    it has done the least work. Raises [Invalid_argument] on an empty
-    cycle. *)
+val resolve :
+  Lock_table.t -> obs:Obs.Sink.t option -> victim:Policy.victim ->
+  candidate:(Lock_table.txn_id -> Policy.candidate) ->
+  abort:(Lock_table.txn_id -> unit) -> requester:Lock_table.txn_id -> bool
+(** The one deadlock resolver, run after [requester] started waiting. While
+    the waits-for graph has a cycle it counts it in {!Lock_stats.deadlocks},
+    emits [Deadlock_detected] through [obs], picks the victim among the
+    cycle's [candidate] facts by {!Policy.choose_victim} and runs [abort] on
+    it. [abort] must withdraw the victim's queued requests (and, as every
+    caller does, release its locks), or the same cycle is found again. The
+    loop stops when the graph is acyclic or [requester] was the victim, and
+    returns [true] in the second case. *)

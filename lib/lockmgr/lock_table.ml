@@ -204,7 +204,8 @@ let enqueue entry waiter =
 let already_waiting entry txn =
   List.exists (fun waiter -> waiter.w_txn = txn) entry.waiting
 
-let request table ~txn ?(duration = Short) ?deadline ~resource mode =
+let request table ~txn ?(wait = true) ?(duration = Short) ?deadline ~resource
+    mode =
   table.stats.Lock_stats.requests <- table.stats.Lock_stats.requests + 1;
   if traced table then
     emit table
@@ -234,12 +235,10 @@ let request table ~txn ?(duration = Short) ?deadline ~resource mode =
   end
   else begin
     let conversion = not (Lock_mode.equal current Lock_mode.NL) in
-    let fifo_blocked =
-      (not conversion) && entry.waiting <> [] && not (already_waiting entry txn)
-    in
+    let queued = already_waiting entry txn in
+    let fifo_blocked = (not conversion) && entry.waiting <> [] && not queued in
     if
-      (not fifo_blocked)
-      && (not (already_waiting entry txn))
+      (not fifo_blocked) && (not queued)
       && compatible_with_others table entry txn target
     then begin
       install_grant table entry txn target duration resource;
@@ -255,22 +254,7 @@ let request table ~txn ?(duration = Short) ?deadline ~resource mode =
       Granted
     end
     else begin
-      table.stats.Lock_stats.waits <- table.stats.Lock_stats.waits + 1;
-      Log.debug (fun log ->
-          log "T%d waits for %s on %s" txn (Lock_mode.to_string target)
-            resource);
       let incompatible = incompatible_holders entry txn target in
-      let holders =
-        if traced table then holder_payload table resource incompatible
-        else []
-      in
-      if not (already_waiting entry txn) then begin
-        enqueue entry
-          { w_txn = txn; w_mode = target; w_duration = duration;
-            w_conversion = conversion; w_deadline = deadline;
-            w_holders = holders };
-        index_txn table txn resource
-      end;
       let blockers =
         match incompatible with
         | [] ->
@@ -281,84 +265,50 @@ let request table ~txn ?(duration = Short) ?deadline ~resource mode =
         | incompatible -> List.map fst incompatible
       in
       let blockers = List.sort_uniq Int.compare blockers in
-      if traced table then
-        emit table
-          (Obs.Event.Lock_waited
-             { txn; resource; mode = Lock_mode.to_string target; blockers;
-               lu = table.meta resource; holders });
+      (* A request that may not wait leaves no trace beyond its request and
+         conflict-test counts: nothing is queued and no wait is counted. *)
+      if wait then begin
+        table.stats.Lock_stats.waits <- table.stats.Lock_stats.waits + 1;
+        Log.debug (fun log ->
+            log "T%d waits for %s on %s" txn (Lock_mode.to_string target)
+              resource);
+        let holders =
+          if traced table then holder_payload table resource incompatible
+          else []
+        in
+        if not queued then begin
+          enqueue entry
+            { w_txn = txn; w_mode = target; w_duration = duration;
+              w_conversion = conversion; w_deadline = deadline;
+              w_holders = holders };
+          index_txn table txn resource
+        end;
+        if traced table then
+          emit table
+            (Obs.Event.Lock_waited
+               { txn; resource; mode = Lock_mode.to_string target; blockers;
+                 lu = table.meta resource; holders })
+      end;
       Waiting blockers
     end
   end
 
-let try_request table ~txn ?(duration = Short) ~resource mode =
-  table.stats.Lock_stats.requests <- table.stats.Lock_stats.requests + 1;
+(* Drops the lock [txn] holds on [entry]; the caller checked it holds one. *)
+let ungrant table entry txn resource =
+  entry.granted <-
+    List.filter (fun (holder, _mode, _duration) -> holder <> txn) entry.granted;
+  table.entry_count <- table.entry_count - 1;
+  table.stats.Lock_stats.releases <- table.stats.Lock_stats.releases + 1;
   if traced table then
     emit table
-      (Obs.Event.Lock_requested
-         { txn; resource; mode = Lock_mode.to_string mode;
-           lu = table.meta resource });
-  let entry = entry_of table resource in
-  let current =
-    match held_triple entry txn with
-    | Some (_txn, held_mode, _duration) -> held_mode
-    | None -> Lock_mode.NL
-  in
-  let target = Lock_mode.sup current mode in
-  if Lock_mode.equal target current then begin
-    table.stats.Lock_stats.immediate_grants <-
-      table.stats.Lock_stats.immediate_grants + 1;
-    if traced table then
-      emit table
-        (Obs.Event.Lock_granted
-           { txn; resource; mode = Lock_mode.to_string current;
-             immediate = true; lu = table.meta resource; holders = [] });
-    drop_entry_if_empty table resource entry;
-    `Granted
-  end
-  else begin
-    let conversion = not (Lock_mode.equal current Lock_mode.NL) in
-    let fifo_blocked = (not conversion) && entry.waiting <> [] in
-    if (not fifo_blocked) && compatible_with_others table entry txn target
-    then begin
-      install_grant table entry txn target duration resource;
-      table.stats.Lock_stats.immediate_grants <-
-        table.stats.Lock_stats.immediate_grants + 1;
-      if traced table then
-        emit table
-          (Obs.Event.Lock_granted
-             { txn; resource; mode = Lock_mode.to_string target;
-               immediate = true; lu = table.meta resource; holders = [] });
-      `Granted
-    end
-    else begin
-      let blockers =
-        match incompatible_holders entry txn target with
-        | [] ->
-          List.filter_map
-            (fun waiter -> if waiter.w_txn <> txn then Some waiter.w_txn else None)
-            entry.waiting
-        | holders -> List.map fst holders
-      in
-      drop_entry_if_empty table resource entry;
-      `Would_block (List.sort_uniq Int.compare blockers)
-    end
-  end
+      (Obs.Event.Lock_released { txn; resource; lu = table.meta resource })
 
 let release table ~txn ~resource =
   match Hashtbl.find_opt table.entries resource with
   | None -> []
   | Some entry ->
-    let held_before = Option.is_some (held_triple entry txn) in
-    if held_before then begin
-      entry.granted <-
-        List.filter (fun (holder, _mode, _duration) -> holder <> txn)
-          entry.granted;
-      table.entry_count <- table.entry_count - 1;
-      table.stats.Lock_stats.releases <- table.stats.Lock_stats.releases + 1;
-      if traced table then
-        emit table
-          (Obs.Event.Lock_released { txn; resource; lu = table.meta resource })
-    end;
+    if Option.is_some (held_triple entry txn) then
+      ungrant table entry txn resource;
     let served = drain table resource entry in
     unindex_txn table txn resource entry;
     served
@@ -385,24 +335,10 @@ let resources_of table txn =
   | None -> []
   | Some seen -> String_set.elements seen
 
-let cancel_wait table ~txn =
-  List.concat_map
-    (fun resource ->
-      match Hashtbl.find_opt table.entries resource with
-      | None -> []
-      | Some entry ->
-        let was_waiting = already_waiting entry txn in
-        if was_waiting then begin
-          entry.waiting <-
-            List.filter (fun waiter -> waiter.w_txn <> txn) entry.waiting;
-          let served = drain table resource entry in
-          unindex_txn table txn resource entry;
-          served
-        end
-        else [])
-    (resources_of table txn)
-
-let release_matching table ~txn keep_long =
+(* The one withdrawal loop: on every resource of [txn], drop its queued
+   request and the lock it holds when [drops] selects that lock's duration,
+   then serve the queue. *)
+let withdraw table ~txn drops =
   List.concat_map
     (fun resource ->
       match Hashtbl.find_opt table.entries resource with
@@ -412,33 +348,25 @@ let release_matching table ~txn keep_long =
         if dropped_wait then
           entry.waiting <-
             List.filter (fun waiter -> waiter.w_txn <> txn) entry.waiting;
-        let drop_grant =
+        let dropped_grant =
           match held_triple entry txn with
+          | Some (_txn, _mode, duration) -> drops duration
           | None -> false
-          | Some (_txn, _mode, Long) -> not keep_long
-          | Some (_txn, _mode, Short) -> true
         in
-        if drop_grant then begin
-          entry.granted <-
-            List.filter (fun (holder, _mode, _duration) -> holder <> txn)
-              entry.granted;
-          table.entry_count <- table.entry_count - 1;
-          table.stats.Lock_stats.releases <-
-            table.stats.Lock_stats.releases + 1;
-          if traced table then
-            emit table
-              (Obs.Event.Lock_released
-                 { txn; resource; lu = table.meta resource })
-        end;
-        let served =
-          if drop_grant || dropped_wait then drain table resource entry else []
-        in
-        unindex_txn table txn resource entry;
-        served)
+        if dropped_grant then ungrant table entry txn resource;
+        if dropped_wait || dropped_grant then begin
+          let served = drain table resource entry in
+          unindex_txn table txn resource entry;
+          served
+        end
+        else [])
     (resources_of table txn)
 
-let release_all table ~txn = release_matching table ~txn false
-let release_short table ~txn = release_matching table ~txn true
+let cancel_wait table ~txn = withdraw table ~txn (fun _duration -> false)
+let release_all table ~txn = withdraw table ~txn (fun _duration -> true)
+
+let release_short table ~txn =
+  withdraw table ~txn (fun duration -> duration = Short)
 
 let held table ~txn ~resource =
   match Hashtbl.find_opt table.entries resource with
@@ -520,22 +448,37 @@ let waits_for_edges table =
   List.sort_uniq compare !edges
 
 let wait_depth table ~txn =
-  let edges = waits_for_edges table in
-  let successors blocked =
-    List.filter_map
-      (fun (waiter, blocker) -> if waiter = blocked then Some blocker else None)
-      edges
+  let successors = Hashtbl.create 16 in
+  List.iter
+    (fun (waiter, blocker) -> Hashtbl.add successors waiter blocker)
+    (waits_for_edges table);
+  (* Longest blocker chain below [t]; an edge back into the trail counts 1,
+     so deadlock cycles contribute finite depth instead of diverging.  Also
+     returns the shallowest trail level a back edge reached.  A transaction
+     whose search reaches no level at or above its own lies on no cycle: no
+     trail node is reachable from it, so its depth does not depend on the
+     trail and is memoised, which keeps DAG-shaped graphs polynomial. *)
+  let memo = Hashtbl.create 16 in
+  let rec depth trail level t =
+    match List.assoc_opt t trail with
+    | Some reached -> (0, reached)
+    | None -> (
+      match Hashtbl.find_opt memo t with
+      | Some known -> (known, max_int)
+      | None ->
+        let trail = (t, level) :: trail in
+        let best, reached =
+          List.fold_left
+            (fun (best, reached) next ->
+              let below, next_reached = depth trail (level + 1) next in
+              (max best (1 + below), min reached next_reached))
+            (0, max_int)
+            (Hashtbl.find_all successors t)
+        in
+        if reached > level then Hashtbl.replace memo t best;
+        (best, reached))
   in
-  (* longest blocker chain below [txn]; [visited] makes deadlock cycles
-     contribute finite depth instead of diverging *)
-  let rec depth visited t =
-    if List.mem t visited then 0
-    else
-      List.fold_left
-        (fun best next -> max best (1 + depth (t :: visited) next))
-        0 (successors t)
-  in
-  depth [] txn
+  fst (depth [] 0 txn)
 
 let expired_waiters table ~now =
   Hashtbl.fold

@@ -3,10 +3,10 @@
     The table is protocol-agnostic: resources are opaque strings (the lock
     technique of the paper maps its lockable units to hierarchical path
     strings). It is a purely synchronous data structure — a request either is
-    granted or queues, and releases report which queued requests became
-    granted — so callers (tests, the discrete-event simulator, the
-    transaction manager) own time and scheduling, and runs stay
-    deterministic. *)
+    granted or blocks (and queues, unless made without waiting), and
+    releases report which queued requests became granted — so callers
+    (tests, the discrete-event simulator, the transaction manager) own time
+    and scheduling, and runs stay deterministic. *)
 
 type txn_id = int
 
@@ -19,7 +19,8 @@ type t
 type outcome =
   | Granted
   | Waiting of txn_id list
-      (** enqueued; the listed transactions block this request *)
+      (** the listed transactions block this request; it is enqueued unless
+          it was made with [~wait:false] *)
 
 type grant = { g_txn : txn_id; g_resource : string; g_mode : Lock_mode.t }
 (** A queued request that became granted after a release. *)
@@ -51,23 +52,24 @@ val resource_lu : t -> string -> Obs.Event.lu option
     the table (timeout aborts, snapshots) that tag their own events. *)
 
 val request :
-  t -> txn:txn_id -> ?duration:duration -> ?deadline:int -> resource:string ->
-  Lock_mode.t -> outcome
+  t -> txn:txn_id -> ?wait:bool -> ?duration:duration -> ?deadline:int ->
+  resource:string -> Lock_mode.t -> outcome
 (** Requests (or converts to) the supremum of the given mode and the mode
     already held. FIFO fairness: a fresh request waits while the queue is
     non-empty; conversions jump the queue (standard upgrade handling). A
-    request for a mode already covered is a no-op grant.
+    request for a mode already covered is a no-op grant; a [Long] one marks
+    the held lock [Long].
+
+    [?wait] (default [true]) decides what a blocked request does. Waiting,
+    it is enqueued and counted as a wait. Not waiting, it is neither queued
+    nor counted as a wait and leaves the table as it found it, apart from
+    the [requests] and [conflict_tests] counters; [Waiting] then only names
+    the blockers.
 
     [?deadline] stamps the queued request with an absolute tick after which
     the wait should be abandoned; the table only records it (see
     {!expired_waiters}) — enforcing the timeout is the caller's job (the
     transaction manager or the simulator own time). *)
-
-val try_request :
-  t -> txn:txn_id -> ?duration:duration -> resource:string -> Lock_mode.t ->
-  [ `Granted | `Would_block of txn_id list ]
-(** Like {!request} but never enqueues: either grants immediately or reports
-    the blockers. *)
 
 val release : t -> txn:txn_id -> resource:string -> grant list
 (** Releases one lock (leaf-to-root release, de-escalation); returns the
@@ -88,8 +90,8 @@ val release_all : t -> txn:txn_id -> grant list
     manager's job ({!val:release_short} below). *)
 
 val release_short : t -> txn:txn_id -> grant list
-(** Drops only the [Short]-duration locks of [txn] (commit of a check-out
-    transaction that keeps its long locks). *)
+(** Drops the [Short]-duration locks and the queued requests of [txn]
+    (commit of a check-out transaction that keeps its long locks). *)
 
 val held : t -> txn:txn_id -> resource:string -> Lock_mode.t
 (** Mode held (NL when none). *)
@@ -122,7 +124,8 @@ val wait_depth : t -> txn:txn_id -> int
 (** Length of the longest blocker chain hanging off [txn] in the waits-for
     graph (0 when [txn] waits for nobody). This is the quantity Thomasian's
     wait-depth-limited restart policy bounds; cycles count once, so the
-    result is finite even mid-deadlock. *)
+    result is finite even mid-deadlock. Transactions on no cycle are
+    searched once each, so a DAG-shaped graph costs polynomial time. *)
 
 val expired_waiters : t -> now:int -> (txn_id * string) list
 (** Queued requests whose {!request} deadline has passed ([now >= deadline]),

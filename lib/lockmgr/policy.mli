@@ -6,7 +6,8 @@
     locking and data-contention literature in PAPERS.md). These types make
     the choice — plus victim selection and restart backoff — configuration
     rather than hard-coded behaviour, shared by the transaction manager and
-    the discrete-event simulator. *)
+    the discrete-event simulator; {!choose_victim} also picks the blocking
+    front-end's victims, through {!Deadlock.resolve}. *)
 
 type resolution =
   | Detection  (** run cycle detection whenever a request starts waiting *)

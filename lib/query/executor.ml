@@ -161,11 +161,7 @@ exception Blocked_exception of {
 let acquire_all executor ~txn ~wait targets =
   List.iter
     (fun { lt_node; lt_mode } ->
-      let outcome =
-        if wait then Protocol.acquire executor.protocol ~txn lt_node lt_mode
-        else Protocol.try_acquire executor.protocol ~txn lt_node lt_mode
-      in
-      match outcome with
+      match Protocol.acquire executor.protocol ~txn ~wait lt_node lt_mode with
       | Protocol.Acquired _ -> ()
       | Protocol.Blocked { step; blockers; _ } ->
         raise
@@ -303,22 +299,14 @@ let insert_object executor ~txn ?(wait = true) relation value =
         let candidate = Node_id.child relation_node key in
         let table = Protocol.table executor.protocol in
         let resource = Node_id.to_resource candidate in
-        if wait then
-          match Lockmgr.Lock_table.request table ~txn ~resource Mode.X with
-          | Lockmgr.Lock_table.Granted -> Ok ()
-          | Lockmgr.Lock_table.Waiting blockers ->
-            Error (Blocked { node = candidate; blockers; waiting = true })
-        else
-          match Lockmgr.Lock_table.try_request table ~txn ~resource Mode.X with
-          | `Granted -> Ok ()
-          | `Would_block blockers ->
-            Error (Blocked { node = candidate; blockers; waiting = false })
+        match Lockmgr.Lock_table.request table ~txn ~wait ~resource Mode.X with
+        | Lockmgr.Lock_table.Granted -> Ok ()
+        | Lockmgr.Lock_table.Waiting blockers ->
+          Error (Blocked { node = candidate; blockers; waiting = wait })
       in
-      let chain =
-        if wait then Protocol.acquire executor.protocol ~txn relation_node Mode.IX
-        else Protocol.try_acquire executor.protocol ~txn relation_node Mode.IX
-      in
-      match chain with
+      match
+        Protocol.acquire executor.protocol ~txn ~wait relation_node Mode.IX
+      with
       | Protocol.Blocked { step; blockers; _ } ->
         Error (Blocked { node = step.Protocol.node; blockers; waiting = wait })
       | Protocol.Acquired _ -> (
@@ -343,15 +331,10 @@ let delete_object executor ~txn ?(wait = true) oid =
     (* §4.5 semantics refinement: a plain delete never accesses the
        referenced common data, so downward propagation is skipped ("no locks
        on common data are necessary at all"). *)
-    let outcome =
-      if wait then
-        Protocol.acquire executor.protocol ~txn ~follow_references:false
-          object_node Mode.X
-      else
-        Protocol.try_acquire executor.protocol ~txn ~follow_references:false
-          object_node Mode.X
-    in
-    match outcome with
+    match
+      Protocol.acquire executor.protocol ~txn ~wait ~follow_references:false
+        object_node Mode.X
+    with
     | Protocol.Blocked { step; blockers; _ } ->
       Error (Blocked { node = step.Protocol.node; blockers; waiting = wait })
     | Protocol.Acquired _ -> (

@@ -277,26 +277,15 @@ and crash sim time ~reason state =
 
 (* Returns [true] when [requester] itself was sacrificed. *)
 and resolve_deadlocks sim time requester =
-  match Lockmgr.Deadlock.find_cycle ~edges:(Table.waits_for_edges sim.table) with
-  | None -> false
-  | Some cycle ->
-    let stats = Table.stats sim.table in
-    stats.Lockmgr.Lock_stats.deadlocks <-
-      stats.Lockmgr.Lock_stats.deadlocks + 1;
-    if traced sim then emit sim (Obs.Event.Deadlock_detected { cycle });
-    let candidates =
-      List.map
-        (fun txn ->
-          let state = state_of sim txn in
-          { Policy.txn; birth = state.job.arrival;
-            locks_held = List.length (Table.locks_of sim.table ~txn);
-            work_done = state.step_index })
-        cycle
-    in
-    let victim_txn = Policy.choose_victim sim.config.victim candidates in
-    let victim = state_of sim victim_txn in
-    abort_and_restart sim time ~reason:Deadlock victim;
-    if victim_txn = requester then true else resolve_deadlocks sim time requester
+  Lockmgr.Deadlock.resolve sim.table ~obs:sim.obs ~victim:sim.config.victim
+    ~candidate:(fun txn ->
+      let state = state_of sim txn in
+      { Policy.txn; birth = state.job.arrival;
+        locks_held = List.length (Table.locks_of sim.table ~txn);
+        work_done = state.step_index })
+    ~abort:(fun txn ->
+      abort_and_restart sim time ~reason:Deadlock (state_of sim txn))
+    ~requester
 
 and contention_abort sim time ~policy ~depth victim =
   if traced sim then
@@ -409,10 +398,9 @@ let rec continue_locking sim time state =
       begin_wait sim time state resource;
       state.pending <- rest;
       let self_aborted = apply_restart_policy sim time state blockers in
-      if (not self_aborted) && Policy.detects sim.config.resolution then begin
-        let self_aborted = resolve_deadlocks sim time state.txn in
-        if not self_aborted then ()  (* stays queued; a grant will resume it *)
-      end)
+      (* unless sacrificed, it stays queued; a grant will resume it *)
+      if (not self_aborted) && Policy.detects sim.config.resolution then
+        ignore (resolve_deadlocks sim time state.txn : bool))
 
 let start_step sim time state =
   match List.nth_opt state.job.steps state.step_index with

@@ -211,41 +211,26 @@ let unblocked manager grants =
    waiter freed by someone else's demise is [Active] again on return. *)
 let resolve_deadlock manager txn =
   let table = Protocol.table manager.protocol in
-  let rec resolve () =
-    match Lockmgr.Deadlock.find_cycle ~edges:(Table.waits_for_edges table) with
-    | None -> false
-    | Some cycle ->
-      let stats = Table.stats table in
-      stats.Lockmgr.Lock_stats.deadlocks <-
-        stats.Lockmgr.Lock_stats.deadlocks + 1;
-      if traced manager then
-        emit manager (Obs.Event.Deadlock_detected { cycle });
-      let candidates =
-        List.map
-          (fun id ->
-            match find manager id with
-            | Some candidate ->
-              (* lock count doubles as the work proxy: the manager does not
-                 see its clients' steps, and locks track rollback cost *)
-              let locks_held = List.length (Table.locks_of table ~txn:id) in
-              { Policy.txn = id; birth = candidate.Transaction.started_at;
-                locks_held; work_done = locks_held }
-            | None ->
-              { Policy.txn = id; birth = max_int; locks_held = max_int;
-                work_done = max_int })
-          cycle
-      in
-      let victim_id = Policy.choose_victim manager.config.victim candidates in
-      let victim =
-        match find manager victim_id with
-        | Some victim -> victim
-        | None -> invalid_arg "Txn_manager: unknown victim"
-      in
-      let grants = abort manager ~reason:Transaction.Deadlock_victim victim in
-      let (_ : Transaction.t list) = unblocked manager grants in
-      if victim_id = txn.Transaction.id then true else resolve ()
-  in
-  resolve ()
+  Lockmgr.Deadlock.resolve table ~obs:manager.obs
+    ~victim:manager.config.victim
+    ~candidate:(fun id ->
+      match find manager id with
+      | Some candidate ->
+        (* lock count doubles as the work proxy: the manager does not see
+           its clients' steps, and locks track rollback cost *)
+        let locks_held = List.length (Table.locks_of table ~txn:id) in
+        { Policy.txn = id; birth = candidate.Transaction.started_at;
+          locks_held; work_done = locks_held }
+      | None ->
+        { Policy.txn = id; birth = max_int; locks_held = max_int;
+          work_done = max_int })
+    ~abort:(fun id ->
+      match find manager id with
+      | Some victim ->
+        let grants = abort manager ~reason:Transaction.Deadlock_victim victim in
+        ignore (unblocked manager grants : Transaction.t list)
+      | None -> invalid_arg "Txn_manager: unknown victim")
+    ~requester:txn.Transaction.id
 
 let acquire manager txn ?duration node mode =
   if Transaction.is_finished txn then

@@ -218,7 +218,7 @@ let test_proposed_has_no_hidden_conflicts () =
     let r1 = Option.get (Node_id.of_steps [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r1" ]) in
     let r2 = Option.get (Node_id.of_steps [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r2" ]) in
     let acquire txn node =
-      match Colock.Protocol.try_acquire protocol ~txn node Mode.X with
+      match Colock.Protocol.acquire protocol ~wait:false ~txn node Mode.X with
       | Colock.Protocol.Acquired _ -> true
       | Colock.Protocol.Blocked _ ->
         (* detected conflict: the transaction aborts (or waits) and never

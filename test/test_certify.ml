@@ -343,7 +343,7 @@ let graph_nodes graph =
 
 (* Drive random interleaved transactions through the real protocol/lock
    table with a memory sink attached, then certify the emitted trace:
-   whatever the real stack produced must pass. [try_acquire] keeps the
+   whatever the real stack produced must pass. [~wait:false] keeps the
    harness sequential-step (no scheduler needed); blocked requests are
    simply skipped, which is itself a legal schedule. *)
 let run_real_schedule seed =
@@ -362,7 +362,9 @@ let run_real_schedule seed =
     for txn = 1 to txns do
       let node = nodes.(Random.State.int rng (Array.length nodes)) in
       let mode = modes.(Random.State.int rng (Array.length modes)) in
-      ignore (Protocol.try_acquire protocol ~txn node mode : Protocol.outcome)
+      ignore
+        (Protocol.acquire protocol ~wait:false ~txn node mode
+          : Protocol.outcome)
     done
   done;
   for txn = 1 to txns do

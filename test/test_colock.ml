@@ -597,7 +597,7 @@ let test_deescalation () =
   (* another transaction can now lock a different member *)
   match members with
   | _first :: second :: _ -> (
-    match Colock.Protocol.try_acquire protocol ~txn:2 second Mode.S with
+    match Colock.Protocol.acquire protocol ~wait:false ~txn:2 second Mode.S with
     | Colock.Protocol.Acquired _ -> ()
     | Colock.Protocol.Blocked _ -> Alcotest.fail "sibling should be free")
   | _ -> Alcotest.fail "two members expected"

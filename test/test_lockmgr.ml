@@ -236,6 +236,23 @@ let test_table_release_short_keeps_long () =
   Alcotest.check mode_testable "long kept" Mode.X
     (Table.held table ~txn:1 ~resource:"b")
 
+(* A covered request made without waiting still marks the lock Long, so a
+   check-out lock (§3.1) taken over a held Short lock survives
+   release_short. *)
+let test_table_nonwaiting_long_sticks () =
+  let table = Table.create () in
+  check_bool "short S" true
+    (Table.request table ~txn:1 ~resource:"a" Mode.S = Table.Granted);
+  check_bool "long S without waiting" true
+    (Table.request table ~txn:1 ~wait:false ~duration:Table.Long
+       ~resource:"a" Mode.S
+     = Table.Granted);
+  check_bool "locks_of shows Long" true
+    (Table.locks_of table ~txn:1 = [ ("a", Mode.S, Table.Long) ]);
+  let (_ : Table.grant list) = Table.release_short table ~txn:1 in
+  Alcotest.check mode_testable "long kept" Mode.S
+    (Table.held table ~txn:1 ~resource:"a")
+
 let test_table_cancel_wait () =
   let table = Table.create () in
   check_bool "T1 X" true (Table.request table ~txn:1 ~resource:"r" Mode.X = Table.Granted);
@@ -322,11 +339,6 @@ let test_deadlock_long_cycle () =
   with
   | Some cycle -> check_int "cycle of 4" 4 (List.length cycle)
   | None -> Alcotest.fail "cycle expected"
-
-let test_deadlock_victim () =
-  check_int "youngest dies" 9 (Lockmgr.Deadlock.choose_victim [ 3; 9; 1 ]);
-  check_int "priority override" 1
-    (Lockmgr.Deadlock.choose_victim ~priority:(fun txn -> txn) [ 3; 9; 1 ])
 
 let test_deadlock_via_table () =
   (* Classic AB-BA through the real table. *)
@@ -604,19 +616,27 @@ let test_deadlock_overlapping_cycles_terminate () =
         (granted (Table.request table ~txn ~resource:wanted Mode.X)))
     [ (1, "2"); (2, "1"); (2, "3"); (3, "2"); (3, "4"); (4, "3"); (4, "1");
       (1, "4") ];
-  let rec resolve rounds =
-    if rounds > 16 then Alcotest.fail "resolution did not terminate"
-    else
-      match Lockmgr.Deadlock.find_cycle ~edges:(Table.waits_for_edges table) with
-      | None -> rounds
-      | Some cycle ->
-        let victim = Lockmgr.Deadlock.choose_victim cycle in
-        let (_ : Table.grant list) = Table.cancel_wait table ~txn:victim in
-        let (_ : Table.grant list) = Table.release_all table ~txn:victim in
-        resolve (rounds + 1)
+  let aborts = ref 0 and detected = ref 0 in
+  let sink =
+    Obs.Sink.create
+      [ (fun event ->
+          match event.Obs.Event.kind with
+          | Obs.Event.Deadlock_detected _ -> incr detected
+          | _ -> ()) ]
   in
-  let rounds = resolve 0 in
-  check_bool "took at least one abort" true (rounds >= 1);
+  let sacrificed =
+    Lockmgr.Deadlock.resolve table ~obs:(Some sink) ~victim:Policy.Youngest
+      ~candidate:(fun txn -> candidate txn txn 0 0)
+      ~abort:(fun victim ->
+        incr aborts;
+        if !aborts > 16 then Alcotest.fail "resolution did not terminate";
+        ignore (Table.release_all table ~txn:victim : Table.grant list))
+      ~requester:0
+  in
+  check_bool "an absent requester is never the victim" false sacrificed;
+  check_bool "took at least one abort" true (!aborts >= 1);
+  check_int "every cycle counted" !aborts (Table.stats table).deadlocks;
+  check_int "every cycle reported" !aborts !detected;
   check_bool "acyclic afterwards" true
     (Lockmgr.Deadlock.find_cycle ~edges:(Table.waits_for_edges table) = None);
   Alcotest.(check (list string)) "table still sound" []
@@ -628,24 +648,19 @@ let qcheck_cases =
       prop_sup_idempotent; prop_sup_upper_bound; prop_stronger_conflicts_more ]
 
 (* Every emitting operation once: immediate and covered grants, both
-   try_request outcomes, a wait behind a granted group, a conversion that
+   non-waiting outcomes, a wait behind a granted group, a conversion that
    waits and then jumps the queue, downgrade, cancel_wait, release and
    release_all. *)
 let event_script table =
-  let request txn resource mode =
-    ignore (Table.request table ~txn ~resource mode : Table.outcome)
-  in
-  let try_request txn resource mode =
-    ignore
-      (Table.try_request table ~txn ~resource mode
-        : [ `Granted | `Would_block of Table.txn_id list ])
+  let request ?wait txn resource mode =
+    ignore (Table.request table ~txn ?wait ~resource mode : Table.outcome)
   in
   let settle grants = ignore (grants : Table.grant list) in
   request 1 "r" Mode.S;
   request 1 "r" Mode.IS;
   request 2 "r" Mode.S;
-  try_request 3 "r" Mode.X;
-  try_request 3 "q" Mode.X;
+  request ~wait:false 3 "r" Mode.X;
+  request ~wait:false 3 "q" Mode.X;
   request 3 "r" Mode.X;
   request 1 "r" Mode.X;
   settle (Table.downgrade table ~txn:2 ~resource:"r" Mode.IS);
@@ -705,6 +720,216 @@ let test_table_untraced_does_no_event_work () =
   Alcotest.(check (list int))
     "counters agree" (counters traced) (counters untraced)
 
+(* ------------------------------------------- One decision, two flags *)
+
+type op =
+  | Request of {
+      txn : int;
+      resource : string;
+      mode : Mode.t;
+      duration : Table.duration;
+      wait : bool;
+    }
+  | Release of int * string
+  | Downgrade of int * string * Mode.t
+  | Cancel_wait of int
+  | Release_short of int
+  | Release_all of int
+
+let lockstep_txns = [ 1; 2; 3 ]
+
+let op_to_string = function
+  | Request { txn; resource; mode; duration; wait } ->
+    Printf.sprintf "T%d %s %s%s%s" txn resource (Mode.to_string mode)
+      (match duration with Table.Long -> " long" | Table.Short -> "")
+      (if wait then "" else " nowait")
+  | Release (txn, resource) -> Printf.sprintf "T%d release %s" txn resource
+  | Downgrade (txn, resource, mode) ->
+    Printf.sprintf "T%d downgrade %s %s" txn resource (Mode.to_string mode)
+  | Cancel_wait txn -> Printf.sprintf "T%d cancel_wait" txn
+  | Release_short txn -> Printf.sprintf "T%d release_short" txn
+  | Release_all txn -> Printf.sprintf "T%d release_all" txn
+
+let gen_op =
+  let open QCheck.Gen in
+  let txn = oneofl lockstep_txns and resource = oneofl [ "a"; "b"; "c" ] in
+  let mode = oneofl [ Mode.IS; Mode.IX; Mode.S; Mode.SIX; Mode.X ] in
+  frequency
+    [ ( 6,
+        map3
+          (fun (txn, resource) (mode, long) wait ->
+            Request
+              { txn; resource; mode; wait;
+                duration = (if long then Table.Long else Table.Short) })
+          (pair txn resource) (pair mode bool) bool );
+      (1, map2 (fun txn resource -> Release (txn, resource)) txn resource);
+      ( 1,
+        map3 (fun txn resource mode -> Downgrade (txn, resource, mode)) txn
+          resource mode );
+      (1, map (fun txn -> Cancel_wait txn) txn);
+      (1, map (fun txn -> Release_short txn) txn);
+      (1, map (fun txn -> Release_all txn) txn) ]
+
+let queued table txn = Table.waiting_of table ~txn <> []
+
+(* Applies one operation as every caller does: a queued transaction issues
+   no request, and a downgrade only ever weakens. [None] when skipped. *)
+let apply ?wait table op =
+  let settle grants = ignore (grants : Table.grant list) in
+  match op with
+  | Request { txn; _ } when queued table txn -> None
+  | Request { txn; resource; mode; duration; wait = op_wait } ->
+    let wait = Option.value wait ~default:op_wait in
+    Some (Table.request table ~txn ~wait ~duration ~resource mode)
+  | Release (txn, resource) ->
+    settle (Table.release table ~txn ~resource);
+    None
+  | Downgrade (txn, resource, mode) ->
+    if Mode.leq mode (Table.held table ~txn ~resource) then
+      settle (Table.downgrade table ~txn ~resource mode);
+    None
+  | Cancel_wait txn ->
+    settle (Table.cancel_wait table ~txn);
+    None
+  | Release_short txn ->
+    settle (Table.release_short table ~txn);
+    None
+  | Release_all txn ->
+    settle (Table.release_all table ~txn);
+    None
+
+(* Everything a caller can observe of a table, less the stats [except]
+   names. *)
+let observe ?(except = []) table =
+  ( Format.asprintf "%a" Table.pp table,
+    Table.waits_for_edges table,
+    List.map
+      (fun txn -> (Table.locks_of table ~txn, Table.waiting_of table ~txn))
+      lockstep_txns,
+    List.filter
+      (fun (name, _value) -> not (List.mem name except))
+      (Lockmgr.Lock_stats.row (Table.stats table)) )
+
+(* Replays each prefix on two fresh tables and applies the next request
+   waiting on one and not waiting on the other: both must reach the same
+   decision, and a blocked non-waiting request must leave its table as it
+   found it, apart from the request and conflict-test counters. *)
+let prop_wait_flag_lockstep =
+  QCheck.Test.make ~count:300 ~name:"wait and no-wait requests decide alike"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map op_to_string ops))
+       QCheck.Gen.(list_size (int_range 1 24) gen_op))
+    (fun ops ->
+      let replay prefix =
+        let table = Table.create () in
+        List.iter
+          (fun op -> ignore (apply table op : Table.outcome option))
+          prefix;
+        table
+      in
+      let rec check prefix = function
+        | [] -> true
+        | op :: rest ->
+          let waiting = replay (List.rev prefix) in
+          let trying = replay (List.rev prefix) in
+          let counted = [ "requests"; "conflict_tests" ] in
+          let before = observe ~except:counted trying in
+          let agree =
+            match apply ~wait:true waiting op, apply ~wait:false trying op with
+            | None, None -> true
+            | Some Table.Granted, Some Table.Granted ->
+              observe waiting = observe trying
+            | Some (Table.Waiting queued), Some (Table.Waiting blockers) ->
+              queued = blockers && observe ~except:counted trying = before
+            | Some _, _ | None, _ -> false
+          in
+          if agree then check (op :: prefix) rest
+          else
+            QCheck.Test.fail_reportf "diverged at %s" (op_to_string op)
+      in
+      check [] ops)
+
+(* ------------------------------------------------------------ wait_depth *)
+
+(* [Table.wait_depth] before memoisation: every path, an edge back into the
+   path counting 1. *)
+let wait_depth_oracle edges txn =
+  let successors blocked =
+    List.filter_map
+      (fun (waiter, blocker) -> if waiter = blocked then Some blocker else None)
+      edges
+  in
+  let rec depth visited t =
+    if List.mem t visited then 0
+    else
+      List.fold_left
+        (fun best next -> max best (1 + depth (t :: visited) next))
+        0 (successors t)
+  in
+  depth [] txn
+
+(* Random tables over up to 8 transactions that may wait on several
+   resources at once, so cycles are common. *)
+let prop_wait_depth_matches_oracle =
+  let request =
+    QCheck.Gen.(
+      triple (int_range 1 8) (oneofl [ "a"; "b"; "c"; "d"; "e" ])
+        (oneofl [ Mode.IS; Mode.IX; Mode.S; Mode.SIX; Mode.X ]))
+  in
+  QCheck.Test.make ~count:300
+    ~name:"memoised wait_depth equals every-path search"
+    (QCheck.make
+       ~print:(fun requests ->
+         String.concat "; "
+           (List.map
+              (fun (txn, resource, mode) ->
+                Printf.sprintf "T%d %s %s" txn resource (Mode.to_string mode))
+              requests))
+       QCheck.Gen.(list_size (int_range 1 30) request))
+    (fun requests ->
+      let table = Table.create () in
+      List.iter
+        (fun (txn, resource, mode) ->
+          ignore (Table.request table ~txn ~resource mode : Table.outcome))
+        requests;
+      let edges = Table.waits_for_edges table in
+      List.for_all
+        (fun txn -> Table.wait_depth table ~txn = wait_depth_oracle edges txn)
+        (List.init 8 succ))
+
+(* Two transactions per layer hold the layer's resource in S and X-wait on
+   the next layer's; the pair below 16 waiting layers only holds. The
+   every-path search takes seconds on this graph; the memoised one searches
+   each transaction once. *)
+let test_table_wait_depth_layered () =
+  let table = Table.create () in
+  let layers = 16 in
+  let pair layer = [ (2 * layer) - 1; 2 * layer ] in
+  for layer = 1 to layers + 1 do
+    List.iter
+      (fun txn ->
+        check_bool "S on own layer" true
+          (Table.request table ~txn ~resource:(string_of_int layer) Mode.S
+           = Table.Granted))
+      (pair layer)
+  done;
+  for layer = 1 to layers do
+    List.iter
+      (fun txn ->
+        check_bool "X on the next layer waits" false
+          (Table.request table ~txn ~resource:(string_of_int (layer + 1)) Mode.X
+           = Table.Granted))
+      (pair layer)
+  done;
+  check_int "80 edges" 80 (List.length (Table.waits_for_edges table));
+  let started = Unix.gettimeofday () in
+  let depth = Table.wait_depth table ~txn:1 in
+  let elapsed = Unix.gettimeofday () -. started in
+  check_int "longest chain" 31 depth;
+  check_bool
+    (Printf.sprintf "took %.4f s, well under 0.1 s" elapsed)
+    true (elapsed < 0.1)
+
 let () =
   Alcotest.run "lockmgr"
     [ ("lock_mode",
@@ -715,6 +940,9 @@ let () =
          Alcotest.test_case "intention_for" `Quick test_mode_intention_for;
          Alcotest.test_case "strings" `Quick test_mode_strings ]);
       ("lock_mode_properties", qcheck_cases);
+      ( "lock_table_properties",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_wait_flag_lockstep; prop_wait_depth_matches_oracle ] );
       ("lock_table",
        [ Alcotest.test_case "grant and conflict" `Quick
            test_table_grant_and_conflict;
@@ -732,6 +960,8 @@ let () =
          Alcotest.test_case "release_all" `Quick test_table_release_all;
          Alcotest.test_case "release_short keeps long" `Quick
            test_table_release_short_keeps_long;
+         Alcotest.test_case "non-waiting long sticks" `Quick
+           test_table_nonwaiting_long_sticks;
          Alcotest.test_case "cancel_wait" `Quick test_table_cancel_wait;
          Alcotest.test_case "downgrade" `Quick test_table_downgrade;
          Alcotest.test_case "stats" `Quick test_table_stats;
@@ -740,6 +970,8 @@ let () =
          Alcotest.test_case "expiry/grant race" `Quick
            test_table_expiry_grant_race;
          Alcotest.test_case "wait_depth" `Quick test_table_wait_depth;
+         Alcotest.test_case "wait_depth on a layered DAG" `Quick
+           test_table_wait_depth_layered;
          Alcotest.test_case "check_invariants clean" `Quick
            test_table_check_invariants_clean;
          Alcotest.test_case "waits_for edges" `Quick
@@ -750,7 +982,6 @@ let () =
        [ Alcotest.test_case "simple cycle" `Quick test_deadlock_simple_cycle;
          Alcotest.test_case "no cycle" `Quick test_deadlock_no_cycle;
          Alcotest.test_case "long cycle" `Quick test_deadlock_long_cycle;
-         Alcotest.test_case "victim" `Quick test_deadlock_victim;
          Alcotest.test_case "via table" `Quick test_deadlock_via_table;
          Alcotest.test_case "overlapping cycles terminate" `Quick
            test_deadlock_overlapping_cycles_terminate ]);

@@ -119,7 +119,7 @@ let test_mid_level_direct_access () =
      downward propagation into lib3. *)
   let env = make_env ~rule:Protocol.Rule_4 () in
   let item = object_node env ~relation:"lib2" ~key:"lib2_1" in
-  match Protocol.try_acquire env.protocol ~txn:1 item Mode.X with
+  match Protocol.acquire env.protocol ~wait:false ~txn:1 item Mode.X with
   | Protocol.Blocked _ -> Alcotest.fail "uncontended acquire"
   | Protocol.Acquired _ ->
     check_bool "lib2 relation IX" true
@@ -141,7 +141,7 @@ let test_reader_blocks_deep_writer () =
      tries to X a lib3 item that T1's closure covers: conflict detected. *)
   let env = make_env ~rule:Protocol.Rule_4 () in
   let product = object_node env ~relation:"products" ~key:"prod1" in
-  (match Protocol.try_acquire env.protocol ~txn:1 product Mode.S with
+  (match Protocol.acquire env.protocol ~wait:false ~txn:1 product Mode.S with
    | Protocol.Acquired _ -> ()
    | Protocol.Blocked _ -> Alcotest.fail "reader should acquire");
   (* find a lib3 entry T1 covers *)
@@ -161,7 +161,7 @@ let test_reader_blocks_deep_writer () =
   | resource :: _ -> (
     let steps = String.split_on_char '/' resource in
     let node = Option.get (Node_id.of_steps steps) in
-    match Protocol.try_acquire env.protocol ~txn:2 node Mode.X with
+    match Protocol.acquire env.protocol ~wait:false ~txn:2 node Mode.X with
     | Protocol.Blocked { blockers; _ } ->
       Alcotest.(check (list int)) "blocked by the reader" [ 1 ] blockers
     | Protocol.Acquired _ ->
@@ -174,7 +174,7 @@ let test_no_hidden_conflicts_on_nested () =
     List.map
       (fun (txn, key) ->
         let product = object_node env ~relation:"products" ~key in
-        match Protocol.try_acquire env.protocol ~txn product Mode.X with
+        match Protocol.acquire env.protocol ~wait:false ~txn product Mode.X with
         | Protocol.Acquired _ -> Some txn
         | Protocol.Blocked _ ->
           let (_ : Table.grant list) = Table.release_all env.table ~txn in

@@ -21,6 +21,41 @@ let make_blocking () =
 let node steps = Option.get (Node_id.of_steps steps)
 let robot_r1 = node [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r1" ]
 let robot_r2 = node [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r2" ]
+let effector_e1 = node [ "db1"; "seg2"; "effectors"; "e1" ]
+let effector_e3 = node [ "db1"; "seg2"; "effectors"; "e3" ]
+
+(* A broken resolver leaves a domain parked forever, which would hang the
+   suite instead of failing it: every test runs under a watchdog that ends
+   the run, naming the test, once it has taken this long. *)
+let watchdog_seconds = 30.0
+
+(* Alcotest sends each test's output to a file, so the watchdog reports on a
+   copy of stderr taken before the run. *)
+let console = Unix.out_channel_of_descr (Unix.dup Unix.stderr)
+
+let case name test =
+  let guarded () =
+    let finished = Atomic.make false in
+    let deadline = Unix.gettimeofday () +. watchdog_seconds in
+    let watchdog =
+      Domain.spawn (fun () ->
+          while not (Atomic.get finished) do
+            if Unix.gettimeofday () > deadline then begin
+              Printf.fprintf console
+                "test_parallel: %S still running after %.0f s\n%!" name
+                watchdog_seconds;
+              Unix._exit 1
+            end;
+            Unix.sleepf 0.005
+          done)
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set finished true;
+        Domain.join watchdog)
+      test
+  in
+  Alcotest.test_case name `Quick guarded
 
 let test_mutual_exclusion_under_x () =
   let table, blocking = make_blocking () in
@@ -108,6 +143,39 @@ let test_mixed_readers_and_writers () =
     (List.length (List.sort_uniq compare !log) = 30);
   check_int "table drained" 0 (Table.entry_count table)
 
+(* Two domains each hold one X lock, meet, then request each other's. The
+   nodes' plans share only intention locks, so the cycle is certain and
+   single: the shared resolver counts it once and sacrifices the larger id,
+   whichever domain blocks second. *)
+let test_deadlock_counted_and_youngest_dies () =
+  let table, blocking = make_blocking () in
+  let met = Atomic.make 0 in
+  let worker ~txn ~own ~other () =
+    (match Colock.Blocking.acquire blocking ~txn own Mode.X with
+     | `Granted -> ()
+     | `Deadlock_victim -> Alcotest.fail "victim before any cycle");
+    Atomic.incr met;
+    while Atomic.get met < 2 do
+      Domain.cpu_relax ()
+    done;
+    let outcome = Colock.Blocking.acquire blocking ~txn other Mode.X in
+    Colock.Blocking.end_of_transaction blocking ~txn;
+    outcome
+  in
+  let first =
+    Domain.spawn (worker ~txn:1 ~own:effector_e1 ~other:effector_e3)
+  in
+  let second =
+    Domain.spawn (worker ~txn:2 ~own:effector_e3 ~other:effector_e1)
+  in
+  let outcomes = (Domain.join first, Domain.join second) in
+  check_bool "T1 granted, T2 the victim" true
+    (outcomes = (`Granted, `Deadlock_victim));
+  let stats = Table.stats table in
+  check_int "one deadlock" 1 stats.Lockmgr.Lock_stats.deadlocks;
+  check_int "one victim abort" 1 stats.Lockmgr.Lock_stats.victim_aborts;
+  check_int "table drained" 0 (Table.entry_count table)
+
 let test_third_party_victim_regression () =
   (* Regression: when the deadlock victim is NOT the requester, the resolver
      must not spin holding the mutex waiting for the cycle to vanish (the
@@ -145,13 +213,11 @@ let test_third_party_victim_regression () =
 let () =
   Alcotest.run "parallel"
     [ ("domains",
-       [ Alcotest.test_case "mutual exclusion under X" `Quick
-           test_mutual_exclusion_under_x;
-         Alcotest.test_case "deadlock recovery" `Quick
-           test_deadlock_recovery_across_domains;
-         Alcotest.test_case "shared readers" `Quick
-           test_shared_readers_make_progress;
-         Alcotest.test_case "mixed readers and writers" `Quick
-           test_mixed_readers_and_writers;
-         Alcotest.test_case "third-party victim regression" `Quick
+       [ case "mutual exclusion under X" test_mutual_exclusion_under_x;
+         case "deadlock recovery" test_deadlock_recovery_across_domains;
+         case "shared readers" test_shared_readers_make_progress;
+         case "mixed readers and writers" test_mixed_readers_and_writers;
+         case "deadlock counted, youngest dies"
+           test_deadlock_counted_and_youngest_dies;
+         case "third-party victim regression"
            test_third_party_victim_regression ]) ]

@@ -209,7 +209,7 @@ let prop_no_hidden_conflicts_ever =
       List.iter
         (fun (txn, pick, mode) ->
           let target = nodes.(pick mod Array.length nodes) in
-          match Protocol.try_acquire protocol ~txn target mode with
+          match Protocol.acquire protocol ~wait:false ~txn target mode with
           | Protocol.Acquired _ -> ()
           | Protocol.Blocked _ -> ())
         operations;

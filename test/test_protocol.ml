@@ -158,7 +158,9 @@ let test_figure7_q2_q3_concurrent () =
   let env = make_env () in
   let (_ : Protocol.step list) = run_q2 env ~txn:2 in
   Authz.Rights.revoke_modify env.rights ~txn:3 ~relation:"effectors";
-  match Protocol.try_acquire env.protocol ~txn:3 (node robot_r2) Mode.X with
+  match
+    Protocol.acquire env.protocol ~wait:false ~txn:3 (node robot_r2) Mode.X
+  with
   | Protocol.Acquired _ ->
     check_mode "both hold S on e2 (T2)" Mode.S (held env ~txn:2 effector_e2);
     check_mode "both hold S on e2 (T3)" Mode.S (held env ~txn:3 effector_e2)
@@ -173,7 +175,9 @@ let test_figure7_rule4_serializes () =
     acquire_exn env ~txn:2 (node robot_r1) Mode.X
   in
   check_mode "rule 4 propagates X" Mode.X (held env ~txn:2 effector_e2);
-  match Protocol.try_acquire env.protocol ~txn:3 (node robot_r2) Mode.X with
+  match
+    Protocol.acquire env.protocol ~wait:false ~txn:3 (node robot_r2) Mode.X
+  with
   | Protocol.Blocked { step; blockers; _ } ->
     Alcotest.(check (list int)) "blocked by T2" [ 2 ] blockers;
     check_bool "blocked on e2" true
@@ -199,7 +203,9 @@ let test_whole_object_locking_would_conflict () =
   (* The same two queries on whole-object granules do conflict. *)
   let env = make_env () in
   let (_ : Protocol.step list) = acquire_exn env ~txn:1 (node cell_c1) Mode.S in
-  match Protocol.try_acquire env.protocol ~txn:2 (node cell_c1) Mode.X with
+  match
+    Protocol.acquire env.protocol ~wait:false ~txn:2 (node cell_c1) Mode.X
+  with
   | Protocol.Blocked _ -> ()
   | Protocol.Acquired _ -> Alcotest.fail "whole-object X vs S must conflict"
 
@@ -213,7 +219,9 @@ let test_from_the_side_conflict_detected () =
   let (_ : Protocol.step list) =
     acquire_exn env ~txn:2 (node robot_r1) Mode.X
   in
-  match Protocol.try_acquire env.protocol ~txn:3 (node robot_r2) Mode.S with
+  match
+    Protocol.acquire env.protocol ~wait:false ~txn:3 (node robot_r2) Mode.S
+  with
   | Protocol.Blocked { step; blockers; _ } ->
     Alcotest.(check (list int)) "blocked by T2" [ 2 ] blockers;
     check_bool "conflict surfaces on e2" true
@@ -231,7 +239,9 @@ let test_direct_library_update_sees_readers () =
     acquire_exn env ~txn:1 (node robot_r2) Mode.S
   in
   check_mode "reader holds e2 S" Mode.S (held env ~txn:1 effector_e2);
-  match Protocol.try_acquire env.protocol ~txn:2 (node effector_e2) Mode.X with
+  match
+    Protocol.acquire env.protocol ~wait:false ~txn:2 (node effector_e2) Mode.X
+  with
   | Protocol.Blocked { blockers; _ } ->
     Alcotest.(check (list int)) "blocked by reader" [ 1 ] blockers
   | Protocol.Acquired _ -> Alcotest.fail "library update must wait for readers"
@@ -423,7 +433,7 @@ let test_reference_blind_delete_ignores_library_writer () =
     acquire_exn env ~txn:9 (node effector_e1) Mode.X
   in
   match
-    Protocol.try_acquire env.protocol ~txn:1 ~follow_references:false
+    Protocol.acquire env.protocol ~wait:false ~txn:1 ~follow_references:false
       (node robot_r1) Mode.X
   with
   | Protocol.Acquired _ -> ()
@@ -438,6 +448,27 @@ let test_acquire_idempotent () =
   check_bool "same lock set after re-acquire" true
     (before = Table.locks_of env.table ~txn:2);
   check_int "still 10 locks" 10 (List.length before)
+
+(* A check-out (§3.1) over a plan already held Short marks every step Long
+   even when it may not wait, so a commit keeping long locks keeps them. *)
+let test_nonwaiting_long_acquire_sticks () =
+  let env = make_env () in
+  let steps = acquire_exn env ~txn:1 (node robot_r1) Mode.S in
+  (match
+     Protocol.acquire env.protocol ~txn:1 ~wait:false ~duration:Table.Long
+       (node robot_r1) Mode.S
+   with
+   | Protocol.Acquired _ -> ()
+   | Protocol.Blocked _ -> Alcotest.fail "a covered plan cannot block");
+  check_bool "every lock Long" true
+    (List.for_all
+       (fun (_resource, _mode, duration) -> duration = Table.Long)
+       (Table.locks_of env.table ~txn:1));
+  let (_ : Table.grant list) =
+    Protocol.commit_keeping_long_locks env.protocol ~txn:1
+  in
+  check_int "every step kept" (List.length steps)
+    (List.length (Table.locks_of env.table ~txn:1))
 
 (* ------------------------------------------------ Blocking and resumption *)
 
@@ -521,7 +552,7 @@ let prop_random_acquires_never_hide_conflicts =
       List.iter
         (fun (txn, pick, mode) ->
           let id = nodes.(pick mod Array.length nodes) in
-          match Protocol.try_acquire env.protocol ~txn id mode with
+          match Protocol.acquire env.protocol ~wait:false ~txn id mode with
           | Protocol.Acquired _ -> ()
           | Protocol.Blocked { acquired = _; _ } ->
             (* keep the prefix; that is legal 2PL behaviour *)
@@ -584,7 +615,9 @@ let () =
          Alcotest.test_case "ignores library writer" `Quick
            test_reference_blind_delete_ignores_library_writer;
          Alcotest.test_case "acquire idempotent" `Quick
-           test_acquire_idempotent ]);
+           test_acquire_idempotent;
+         Alcotest.test_case "non-waiting long acquire sticks" `Quick
+           test_nonwaiting_long_acquire_sticks ]);
       ("blocking",
        [ Alcotest.test_case "blocked acquire resumes" `Quick
            test_blocked_acquire_resumes ]);

@@ -96,7 +96,7 @@ let test_deep_nested_scale () =
       let node =
         Option.get (Graph.object_node graph (Oid.make ~relation:"products" ~key))
       in
-      (match Protocol.try_acquire protocol ~txn:1 node Mode.X with
+      (match Protocol.acquire protocol ~wait:false ~txn:1 node Mode.X with
        | Protocol.Acquired _ -> ()
        | Protocol.Blocked _ -> Alcotest.fail "self-conflict");
       let (_ : Table.grant list) = Protocol.end_of_transaction protocol ~txn:1 in
