@@ -1416,6 +1416,7 @@ let e21_certifier () =
   let (_ : float) = certify_ms () in
   let median_ms = median_of (List.init reps (fun _rep -> certify_ms ())) in
   let certificate = certify events in
+  let edges = Lazy.force certificate.Obs.Certify.graph_edges in
   let events_per_sec =
     if median_ms > 0.0 then
       float_of_int certificate.Obs.Certify.events /. (median_ms /. 1000.0)
@@ -1476,7 +1477,7 @@ let e21_certifier () =
       (fun edge ->
         List.mem edge.Obs.Certify.e_from certificate.Obs.Certify.graph_txns
         && List.mem edge.Obs.Certify.e_to certificate.Obs.Certify.graph_txns)
-      certificate.Obs.Certify.graph_edges
+      edges
   in
   let dot = Obs.Dot.render certificate in
   let dot_covers_graph =
@@ -1521,7 +1522,7 @@ let e21_certifier () =
     ~header:[ "events"; "committed"; "edges"; "ms"; "events/sec" ]
     [ [ Tables.Int certificate.Obs.Certify.events;
         Tables.Int certificate.Obs.Certify.committed;
-        Tables.Int (List.length certificate.Obs.Certify.graph_edges);
+        Tables.Int (List.length edges);
         Tables.Float median_ms; Tables.Float events_per_sec ] ];
   Tables.print ~title:"E21: certification exactness"
     ~header:[ "identity"; "holds" ]
@@ -1531,8 +1532,10 @@ let e21_certifier () =
        checks);
   Tables.note
     "expected shape: one pass over the stream with hashtable work per\n\
-     lock event plus a BFS over a graph of committed transactions —\n\
-     millions of events per second, so certifying every soak run is\n\
+     lock event, then a per-resource conflict frontier and Kahn's\n\
+     algorithm over the committed transactions, both linear in the\n\
+     episodes; the timed passes never build the all-pairs graph, which\n\
+     only the edges column forces. So certifying every soak run is\n\
      cheap. The identities are the point: the certifier must pass what\n\
      the real lock table produced and reject both corruption patterns,\n\
      blaming only the spliced-in transactions.";
@@ -1540,8 +1543,7 @@ let e21_certifier () =
     Obs.Json.Obj
       [ ("events", Obs.Json.Int certificate.Obs.Certify.events);
         ("committed", Obs.Json.Int certificate.Obs.Certify.committed);
-        ("edges",
-         Obs.Json.Int (List.length certificate.Obs.Certify.graph_edges));
+        ("edges", Obs.Json.Int (List.length edges));
         ("median_ms", Obs.Json.Float median_ms);
         ("events_per_sec", Obs.Json.Float events_per_sec);
         ( "exactness",

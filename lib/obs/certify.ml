@@ -114,7 +114,7 @@ type certificate = {
   committed : int;
   aborted_attempts : int;
   graph_txns : int list;
-  graph_edges : edge list;
+  graph_edges : edge list Lazy.t;
   violations : violation list;
 }
 
@@ -469,67 +469,173 @@ let handle certifier event =
 
 module Int_map = Map.Make (Int)
 
-(* One edge per ordered committed pair, counting the conflicting episode
-   pairs and keeping the earliest as witness. *)
-let build_edges certifier =
-  let by_resource = Hashtbl.create 256 in
+(* Each committed episode at its grant seq, a distinct position in the
+   run's stream: grant order in time linear in the run, not n log n. *)
+let in_grant_order ~events accesses =
+  let slots = Array.make (events + 1) None in
   List.iter
-    (fun access ->
-      let bucket =
-        match Hashtbl.find_opt by_resource access.a_resource with
-        | Some bucket -> bucket
-        | None ->
-          let bucket = ref [] in
-          Hashtbl.replace by_resource access.a_resource bucket;
-          bucket
-      in
-      bucket := access :: !bucket)
-    certifier.committed_accesses;
+    (fun access -> slots.(access.a_granted_seq) <- Some access)
+    accesses;
+  slots
+
+(* The all-pairs serialization graph: one edge per ordered committed pair,
+   counting the conflicting episode pairs behind it and keeping the one
+   with the smallest (first, second) grant seqs as witness.  Quadratic in
+   the episodes per resource, so only reports and counterexamples build
+   it. *)
+let all_pairs_edges modes ~events accesses =
+  let earlier = Hashtbl.create 256 in
   let edges = Hashtbl.create 256 in
-  Hashtbl.iter
-    (fun resource bucket ->
-      let episodes =
-        List.sort
-          (fun a b -> Int.compare a.a_granted_seq b.a_granted_seq)
-          !bucket
-      in
-      let rec pairs = function
-        | [] -> ()
-        | first :: rest ->
-          List.iter
-            (fun second ->
-              if
-                first.a_txn <> second.a_txn
-                && not
-                     (certifier.modes.m_compatible first.a_mode second.a_mode)
-              then begin
-                let key = (first.a_txn, second.a_txn) in
-                match Hashtbl.find_opt edges key with
-                | Some edge ->
-                  Hashtbl.replace edges key { edge with e_count = edge.e_count + 1 }
-                | None ->
-                  Hashtbl.replace edges key
-                    { e_from = first.a_txn;
-                      e_to = second.a_txn;
-                      e_count = 1;
-                      e_resource = resource;
-                      e_first = first;
-                      e_second = second }
-              end)
-            rest;
-          pairs rest
-      in
-      pairs episodes)
-    by_resource;
+  let precedes first second edge =
+    first.a_granted_seq < edge.e_first.a_granted_seq
+    || first.a_granted_seq = edge.e_first.a_granted_seq
+       && second.a_granted_seq < edge.e_second.a_granted_seq
+  in
+  let add first second =
+    let key = (first.a_txn, second.a_txn) in
+    Hashtbl.replace edges key
+      (match Hashtbl.find_opt edges key with
+       | None ->
+         { e_from = first.a_txn;
+           e_to = second.a_txn;
+           e_count = 1;
+           e_resource = second.a_resource;
+           e_first = first;
+           e_second = second }
+       | Some edge when precedes first second edge ->
+         { edge with
+           e_count = edge.e_count + 1;
+           e_resource = second.a_resource;
+           e_first = first;
+           e_second = second }
+       | Some edge -> { edge with e_count = edge.e_count + 1 })
+  in
+  Array.iter
+    (function
+      | None -> ()
+      | Some second ->
+        let before =
+          Option.value ~default:[]
+            (Hashtbl.find_opt earlier second.a_resource)
+        in
+        List.iter
+          (fun first ->
+            if
+              first.a_txn <> second.a_txn
+              && not (modes.m_compatible first.a_mode second.a_mode)
+            then add first second)
+          before;
+        Hashtbl.replace earlier second.a_resource (second :: before))
+    (in_grant_order ~events accesses);
   Hashtbl.fold (fun _key edge accu -> edge :: accu) edges []
   |> List.sort (fun a b ->
          match Int.compare a.e_from b.e_from with
          | 0 -> Int.compare a.e_to b.e_to
          | order -> order)
 
-(* Shortest cycle through any node (BFS from each, looking for a path
-   back to the start), deterministically smallest under (length, nodes). *)
-let minimal_cycle edges =
+(* The conflict-frontier graph over dense node ids: the all-pairs graph's
+   cycles from a subset of its edges, usually fewer than the episodes (S
+   and IX alternating on one resource keep each other's buckets, see
+   DESIGN.md).  Per resource, in grant order, the frontier keeps one
+   bucket of transactions per mode.  A new episode (txn [t], mode [m])
+   takes an edge from every entry of each bucket [c] that conflicts with
+   [m], then empties [c] if [m] dominates it: every mode conflicting with
+   [c] also conflicts with [m].  A later episode that conflicts with a
+   dropped entry therefore conflicts with [t] (or with whatever dominated
+   [t] in turn), so every all-pairs edge is a frontier path, and every
+   frontier edge is an all-pairs edge. *)
+let frontier_successors modes ~events node_of nodes accesses =
+  let mode_ids = Hashtbl.create 8 in
+  List.iter
+    (fun access ->
+      if not (Hashtbl.mem mode_ids access.a_mode) then
+        Hashtbl.replace mode_ids access.a_mode (Hashtbl.length mode_ids))
+    accesses;
+  let names = Array.make (Hashtbl.length mode_ids) "" in
+  Hashtbl.iter (fun name id -> names.(id) <- name) mode_ids;
+  let count = Array.length names in
+  let conflict =
+    Array.map
+      (fun c -> Array.map (fun m -> not (modes.m_compatible c m)) names)
+      names
+  in
+  let dominated =
+    Array.init count (fun c ->
+        Array.init count (fun m ->
+            Array.for_all2
+              (fun by_c by_m -> (not by_c) || by_m)
+              conflict.(c) conflict.(m)))
+  in
+  let frontiers = Hashtbl.create 256 in
+  let successors = Array.make nodes [] in
+  Array.iter
+    (function
+      | None -> ()
+      | Some access ->
+        let buckets =
+          match Hashtbl.find_opt frontiers access.a_resource with
+          | Some buckets -> buckets
+          | None ->
+            let buckets = Array.make count [] in
+            Hashtbl.replace frontiers access.a_resource buckets;
+            buckets
+        in
+        let t = node_of access.a_txn
+        and m = Hashtbl.find mode_ids access.a_mode in
+        for c = 0 to count - 1 do
+          if conflict.(c).(m) then begin
+            List.iter
+              (fun source ->
+                if source <> t then
+                  successors.(source) <- t :: successors.(source))
+              buckets.(c);
+            if dominated.(c).(m) then buckets.(c) <- []
+          end
+        done;
+        buckets.(m) <- t :: buckets.(m))
+    (in_grant_order ~events accesses);
+  successors
+
+(* Kahn's algorithm: the in-degrees left once nodes without predecessors
+   have been removed until none remain.  A node keeps a positive in-degree
+   iff it lies on a cycle or downstream of one.  Iterative, because
+   whole-object runs make conflict chains as long as the run. *)
+let residual_indegrees successors =
+  let indegree = Array.make (Array.length successors) 0 in
+  Array.iter
+    (List.iter (fun target -> indegree.(target) <- indegree.(target) + 1))
+    successors;
+  let ready = Stack.create () in
+  Array.iteri
+    (fun node degree -> if degree = 0 then Stack.push node ready)
+    indegree;
+  while not (Stack.is_empty ready) do
+    List.iter
+      (fun target ->
+        indegree.(target) <- indegree.(target) - 1;
+        if indegree.(target) = 0 then Stack.push target ready)
+      successors.(Stack.pop ready)
+  done;
+  indegree
+
+(* [None] when the serialization graph is acyclic; otherwise the
+   transactions on or downstream of a cycle, the only ones a search for a
+   cycle back to its start can succeed from. *)
+let cycle_suspects modes ~events txns accesses =
+  let node_of = Hashtbl.create 64 in
+  List.iteri (fun node txn -> Hashtbl.replace node_of txn node) txns;
+  let indegree =
+    residual_indegrees
+      (frontier_successors modes ~events (Hashtbl.find node_of)
+         (List.length txns) accesses)
+  in
+  if Array.for_all (fun degree -> degree = 0) indegree then None
+  else Some (fun txn -> indegree.(Hashtbl.find node_of txn) > 0)
+
+(* Shortest cycle through any node satisfying [from] (BFS from each,
+   looking for a path back to the start), deterministically smallest
+   under (length, nodes). *)
+let minimal_cycle ~from edges =
   let adjacency =
     List.fold_left
       (fun map edge ->
@@ -569,7 +675,7 @@ let minimal_cycle edges =
   in
   Int_map.fold
     (fun start _targets best ->
-      match shortest_from start with
+      match if from start then shortest_from start else None with
       | None -> best
       | Some cycle -> (
         match best with
@@ -593,23 +699,29 @@ let finish ?label certifier =
           access.a_released_time <- certifier.last_time)
         state.open_accesses)
     certifier.txns;
-  let graph_edges = build_edges certifier in
+  let modes = certifier.modes and events = certifier.seq in
+  let accesses = certifier.committed_accesses in
+  let graph_edges = lazy (all_pairs_edges modes ~events accesses) in
   let cycle_violation =
-    match minimal_cycle graph_edges with
+    match cycle_suspects modes ~events certifier.committed_txns accesses with
     | None -> []
-    | Some cycle ->
-      let edge_between source target =
-        List.find
-          (fun edge -> edge.e_from = source && edge.e_to = target)
-          graph_edges
-      in
-      let rec along = function
-        | first :: (second :: _ as rest) ->
-          edge_between first second :: along rest
-        | [ last ] -> [ edge_between last (List.hd cycle) ]
-        | [] -> []
-      in
-      [ Unserializable { cycle; edges = along cycle } ]
+    | Some suspect -> (
+      let edges = Lazy.force graph_edges in
+      match minimal_cycle ~from:suspect edges with
+      | None -> []
+      | Some cycle ->
+        let edge_between source target =
+          List.find
+            (fun edge -> edge.e_from = source && edge.e_to = target)
+            edges
+        in
+        let rec along = function
+          | first :: (second :: _ as rest) ->
+            edge_between first second :: along rest
+          | [ last ] -> [ edge_between last (List.hd cycle) ]
+          | [] -> []
+        in
+        [ Unserializable { cycle; edges = along cycle } ])
   in
   let violations =
     List.stable_sort
@@ -702,7 +814,7 @@ let pp formatter certificate =
     certificate.events certificate.committed certificate.aborted_attempts;
   Format.fprintf formatter "serialization graph: %d txn(s), %d edge(s)@,"
     (List.length certificate.graph_txns)
-    (List.length certificate.graph_edges);
+    (List.length (Lazy.force certificate.graph_edges));
   match certificate.violations with
   | [] ->
     Format.fprintf formatter
@@ -802,7 +914,9 @@ let to_json certificate =
           [ ( "txns",
               Json.List
                 (List.map (fun txn -> Json.Int txn) certificate.graph_txns) );
-            ("edges", Json.List (List.map json_of_edge certificate.graph_edges))
+            ( "edges",
+              Json.List
+                (List.map json_of_edge (Lazy.force certificate.graph_edges)) )
           ] );
       ( "violations",
         Json.List (List.map json_of_violation certificate.violations) ) ]

@@ -8,7 +8,12 @@
       committed transactions, one edge per pair of mode-incompatible
       access episodes on the same resource ordered by grant; the run is
       serializable iff the graph is acyclic, and a minimal counterexample
-      cycle is reported with the exact accesses behind each edge;
+      cycle is reported with the exact accesses behind each edge. The
+      verdict is decided on a per-resource conflict frontier with the same
+      cycles, which is no larger than the all-pairs graph and, on the
+      simulator's traces, smaller than the episode count; the all-pairs
+      graph is built only for a counterexample or when a report forces
+      [graph_edges];
     - {b 2PL membership} — no transaction acquires a new privilege after
       its first {e uncovered} release (a release is covered, and legal,
       when a strict ancestor is still held in a mode at least as strong —
@@ -62,7 +67,8 @@ type access = {
 }
 
 (** A serialization-graph edge [e_from -> e_to], with how many
-    conflicting episode pairs induced it and the earliest as witness. *)
+    conflicting episode pairs induced it and, as witness, the pair with the
+    smallest ([e_first], [e_second]) grant seqs. *)
 type edge = {
   e_from : int;
   e_to : int;
@@ -115,7 +121,12 @@ type certificate = {
   committed : int;  (** transactions whose attempt committed *)
   aborted_attempts : int;
   graph_txns : int list;  (** committed transactions, ascending *)
-  graph_edges : edge list;  (** the full serialization graph *)
+  graph_edges : edge list Lazy.t;
+      (** the full all-pairs serialization graph, sorted by
+          ([e_from], [e_to]). It is quadratic in the episodes per
+          resource, so it is built on first force ({!pp}, {!to_json},
+          [Dot.render]), or by {!finish} when the run has a conflict
+          cycle *)
   violations : violation list;  (** event order; cycle last *)
 }
 
@@ -130,8 +141,11 @@ val create : ?modes:modes -> unit -> t
 val handle : t -> Event.t -> unit
 
 val finish : ?label:string -> t -> certificate
-(** Closes still-open episodes at the last seen timestamp, builds the
-    serialization graph and assembles the certificate. *)
+(** Closes still-open episodes at the last seen timestamp, decides
+    serializability on the conflict frontier and assembles the
+    certificate. Call it once, after the last event: [graph_edges] is
+    built later from the accumulator's committed episodes as they stand
+    then. *)
 
 val of_events : ?modes:modes -> ?label:string -> Event.t list -> certificate
 

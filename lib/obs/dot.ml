@@ -58,7 +58,7 @@ let render (cert : Certify.certificate) =
         add "  t%d -> t%d [label=\"%s\", color=red, fontcolor=red, penwidth=2];\n"
           e.e_from e.e_to (esc label)
       else add "  t%d -> t%d [label=\"%s\"];\n" e.e_from e.e_to (esc label))
-    cert.graph_edges;
+    (Lazy.force cert.graph_edges);
   add "}\n";
   Buffer.contents buf
 

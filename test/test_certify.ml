@@ -3,7 +3,8 @@
    violation class (cycle, phase, concurrent grant, uncovered grant,
    escalation audit), QCheck properties over random schedules — the real
    lock table always certifies clean, injected corruptions are flagged
-   and attributed to exactly the corrupted transactions — and the
+   and attributed to exactly the corrupted transactions — the
+   conflict-frontier verdict against the all-pairs oracle, and the
    streaming JSONL reader. *)
 
 module Event = Obs.Event
@@ -106,8 +107,9 @@ let test_clean_serial () =
   let certificate = Certify.of_events ~label:"clean" events in
   check_bool "certified" true (Certify.certified certificate);
   check_int "committed" 2 certificate.Certify.committed;
-  check_int "one conflict edge" 1 (List.length certificate.Certify.graph_edges);
-  let edge = List.hd certificate.Certify.graph_edges in
+  let edges = Lazy.force certificate.Certify.graph_edges in
+  check_int "one conflict edge" 1 (List.length edges);
+  let edge = List.hd edges in
   check_int "edge from T1" 1 edge.Certify.e_from;
   check_int "edge to T2" 2 edge.Certify.e_to;
   check_string "edge witness" "db1/a/x" edge.Certify.e_resource
@@ -544,6 +546,276 @@ let prop_injected_phase_flagged =
       && List.for_all (fun kind -> kind = "phase") (kinds certificate)
       && violation_txns certificate = [ victim ])
 
+(* ---------------------------------------- frontier verdict vs all pairs *)
+
+(* Two resources behind one edge: the witness is the pair with the
+   smallest (first, second) grant seqs, whatever order the resource names
+   hash in or the later transaction takes them in. *)
+let test_witness_is_earliest_pair () =
+  let block txn time resources =
+    List.map (fun resource -> at time (grant txn resource "X")) resources
+    @ at (time +. 1.0) (commit txn)
+      :: List.map (fun resource -> at (time +. 1.0) (release txn resource))
+           resources
+  in
+  List.iter
+    (fun (later, second) ->
+      let certificate =
+        Certify.of_events (block 1 1.0 [ "r2"; "r1" ] @ block 2 3.0 later)
+      in
+      match Lazy.force certificate.Certify.graph_edges with
+      | [ edge ] ->
+        check_int "both conflicting pairs counted" 2 edge.Certify.e_count;
+        check_string "witness resource" "r2" edge.Certify.e_resource;
+        check_int "witness first" 1 edge.Certify.e_first.Certify.a_granted_seq;
+        check_int "witness second" second
+          edge.Certify.e_second.Certify.a_granted_seq
+      | edges -> Alcotest.failf "expected one edge, got %d" (List.length edges))
+    [ ([ "r2"; "r1" ], 6); ([ "r1"; "r2" ], 7) ]
+
+let counterexample certificate =
+  List.find_map
+    (function
+      | Certify.Unserializable { cycle; edges } -> Some (cycle, edges)
+      | _ -> None)
+    certificate.Certify.violations
+
+(* S does not dominate IX (a later S conflicts with IX but not with S),
+   so T2's S must leave T1's IX in r1's frontier: T3's S conflicts with
+   it, and that edge closes the only cycle, T1 -> T3 -> T1. *)
+let test_undominated_entry_stays () =
+  let events =
+    [ at 1.0 (grant 1 "r1" "IX");
+      at 2.0 (grant 2 "r1" "S");
+      at 3.0 (grant 3 "r1" "S");
+      at 4.0 (grant 3 "r2" "X");
+      at 5.0 (release 3 "r2");
+      at 6.0 (grant 1 "r2" "X");
+      at 7.0 (commit 1); at 7.0 (commit 2); at 7.0 (commit 3) ]
+  in
+  match counterexample (Certify.of_events events) with
+  | Some (cycle, edges) ->
+    Alcotest.(check (list int)) "cycle" [ 1; 3 ] cycle;
+    Alcotest.(check (list string)) "via" [ "r1"; "r2" ]
+      (List.map (fun edge -> edge.Certify.e_resource) edges)
+  | None -> Alcotest.fail "expected the T1 -> T3 -> T1 cycle"
+
+(* The oracle for the certifier's cycle-gated search: a BFS from every
+   transaction of the full graph, shortest cycle back to the start, ties
+   to the smallest start. *)
+module Int_map = Map.Make (Int)
+
+let oracle_minimal_cycle (edges : Certify.edge list) =
+  let adjacency =
+    List.fold_left
+      (fun map edge ->
+        Int_map.update edge.Certify.e_from
+          (function
+            | Some targets -> Some (edge.Certify.e_to :: targets)
+            | None -> Some [ edge.Certify.e_to ])
+          map)
+      Int_map.empty edges
+  in
+  let shortest_from start =
+    let parents = Hashtbl.create 16 in
+    let queue = Queue.create () in
+    Queue.add start queue;
+    Hashtbl.replace parents start start;
+    let found = ref None in
+    while !found = None && not (Queue.is_empty queue) do
+      let node = Queue.pop queue in
+      List.iter
+        (fun next ->
+          if !found = None then
+            if next = start then begin
+              let rec back node accu =
+                if node = start then node :: accu
+                else back (Hashtbl.find parents node) (node :: accu)
+              in
+              found := Some (back node [])
+            end
+            else if not (Hashtbl.mem parents next) then begin
+              Hashtbl.replace parents next node;
+              Queue.add next queue
+            end)
+        (List.rev (Option.value ~default:[] (Int_map.find_opt node adjacency)))
+    done;
+    !found
+  in
+  Int_map.fold
+    (fun start _targets best ->
+      match shortest_from start with
+      | None -> best
+      | Some cycle -> (
+        match best with
+        | Some existing when List.compare_lengths existing cycle <= 0 -> best
+        | _ -> Some cycle))
+    adjacency None
+
+let oracle_counterexample edges =
+  Option.map
+    (fun cycle ->
+      let edge_between source target =
+        List.find
+          (fun edge ->
+            edge.Certify.e_from = source && edge.Certify.e_to = target)
+          edges
+      in
+      let rec along = function
+        | first :: (second :: _ as rest) ->
+          edge_between first second :: along rest
+        | [ last ] -> [ edge_between last (List.hd cycle) ]
+        | [] -> []
+      in
+      (cycle, along cycle))
+    (oracle_minimal_cycle edges)
+
+let has_cycle (edges : Certify.edge list) =
+  let state = Hashtbl.create 8 in
+  let rec visit txn =
+    match Hashtbl.find_opt state txn with
+    | Some `Open -> true
+    | Some `Done -> false
+    | None ->
+      Hashtbl.replace state txn `Open;
+      let found =
+        List.exists
+          (fun edge -> edge.Certify.e_from = txn && visit edge.Certify.e_to)
+          edges
+      in
+      Hashtbl.replace state txn `Done;
+      found
+  in
+  List.exists (fun edge -> visit edge.Certify.e_from) edges
+
+let schedule_modes = [| "IS"; "IX"; "S"; "SIX"; "X" |]
+
+(* 2-6 transactions on 1-4 flat resources. Each runs one or two attempts
+   of 3-6 steps: a grant in a random mode (re-grants of a held resource
+   included) or, one time in three once something is held, a release, so
+   most attempts are not two-phase. The last attempt commits nine times in
+   ten, every other attempt aborts, and each ends by releasing what it
+   still holds. The programs are interleaved at random, which makes
+   conflict cycles common. *)
+let random_schedule rng =
+  let txns = 2 + Random.State.int rng 5 in
+  let resources = 1 + Random.State.int rng 4 in
+  let program txn =
+    let steps = ref [] in
+    let emit kind = steps := kind :: !steps in
+    let attempts = 1 + Random.State.int rng 2 in
+    for attempt = 1 to attempts do
+      let held = ref [] in
+      for _step = 1 to 3 + Random.State.int rng 4 do
+        match !held with
+        | resource :: rest when Random.State.int rng 3 = 0 ->
+          emit (release txn resource);
+          held := rest
+        | _ ->
+          let resource =
+            Printf.sprintf "r%d" (Random.State.int rng resources)
+          in
+          let mode =
+            schedule_modes.(Random.State.int rng (Array.length schedule_modes))
+          in
+          emit (grant txn resource mode);
+          if not (List.mem resource !held) then held := resource :: !held
+      done;
+      emit
+        (if attempt = attempts && Random.State.int rng 10 > 0 then commit txn
+         else abort txn);
+      List.iter (fun resource -> emit (release txn resource)) !held
+    done;
+    List.rev !steps
+  in
+  let programs = Array.init txns (fun index -> program (index + 1)) in
+  let events = ref [] and time = ref 0.0 in
+  let rec interleave () =
+    match
+      List.filter
+        (fun index -> programs.(index) <> [])
+        (List.init txns Fun.id)
+    with
+    | [] -> List.rev !events
+    | pending ->
+      let index =
+        List.nth pending (Random.State.int rng (List.length pending))
+      in
+      (match programs.(index) with
+       | kind :: rest ->
+         time := !time +. 1.0;
+         events := at !time kind :: !events;
+         programs.(index) <- rest
+       | [] -> ());
+      interleave ()
+  in
+  interleave ()
+
+(* The frontier verdict against the all-pairs oracle, under both mode
+   algebras: [Unserializable] exactly when the forced graph has a cycle,
+   with the oracle's cycle and edges, and the graph left unbuilt by
+   [finish] exactly when there is none. *)
+let test_frontier_matches_oracle () =
+  let checks = ref 0 and cyclic = ref 0 in
+  let agrees events modes =
+    let certificate = Certify.of_events ~modes events in
+    let built = Lazy.is_val certificate.Certify.graph_edges in
+    let edges = Lazy.force certificate.Certify.graph_edges in
+    let cycle = has_cycle edges in
+    incr checks;
+    if cycle then incr cyclic;
+    built = cycle && counterexample certificate = oracle_counterexample edges
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 2026 |])
+    (QCheck.Test.make ~count:2000 ~name:"frontier verdict = all-pairs oracle"
+       QCheck.(make Gen.(int_bound 1_000_000))
+       (fun seed ->
+         let events = random_schedule (Random.State.make [| seed |]) in
+         agrees events Certify.default_modes
+         && agrees events Mode.certify_modes));
+  Printf.printf "frontier vs oracle: %d of %d checks cyclic (%.0f%%)\n" !cyclic
+    !checks
+    (100.0 *. float_of_int !cyclic /. float_of_int !checks);
+  check_bool "cycles are common" true (!cyclic * 4 >= !checks);
+  check_bool "acyclic runs are common" true (!cyclic * 4 <= 3 * !checks)
+
+(* A serial run of 2000 committed transactions, each taking X or S on 2-4
+   of 8 resources: the all-pairs graph and a BFS per transaction are
+   quadratic and cubic here, the frontier verdict is linear, and an
+   acyclic run never builds the pair graph. *)
+let test_verdict_scales () =
+  let rng = Random.State.make [| 8 |] in
+  let certifier = Certify.create () in
+  let time = ref 0.0 in
+  let emit kind =
+    time := !time +. 1.0;
+    Certify.handle certifier (at !time kind)
+  in
+  for txn = 1 to 2000 do
+    let first = Random.State.int rng 8 in
+    let picks =
+      List.init (2 + Random.State.int rng 3) (fun offset ->
+          Printf.sprintf "s%d" ((first + offset) mod 8))
+    in
+    List.iter
+      (fun resource ->
+        emit (grant txn resource (if Random.State.bool rng then "X" else "S")))
+      picks;
+    emit (commit txn);
+    List.iter (fun resource -> emit (release txn resource)) picks
+  done;
+  let started = Unix.gettimeofday () in
+  let certificate = Certify.finish certifier in
+  let certified = Certify.certified certificate in
+  let seconds = Unix.gettimeofday () -. started in
+  check_bool "certified" true certified;
+  check_int "committed" 2000 certificate.Certify.committed;
+  check_bool "pair graph not built" false
+    (Lazy.is_val certificate.Certify.graph_edges);
+  if seconds >= 1.0 then
+    Alcotest.failf "finish + certified took %.3f s on 2000 transactions"
+      seconds
+
 (* ------------------------------------------------- streaming JSONL *)
 
 let test_jsonl_iter_streams () =
@@ -593,6 +865,15 @@ let () =
             test_aborted_attempt_excluded;
           Alcotest.test_case "of_trace splits runs" `Quick
             test_of_trace_splits_runs ] );
+      ( "frontier",
+        [ Alcotest.test_case "earliest pair is the witness" `Quick
+            test_witness_is_earliest_pair;
+          Alcotest.test_case "undominated entry stays" `Quick
+            test_undominated_entry_stays;
+          Alcotest.test_case "verdict matches all-pairs oracle" `Quick
+            test_frontier_matches_oracle;
+          Alcotest.test_case "verdict scales, graph stays lazy" `Quick
+            test_verdict_scales ] );
       ( "escalation",
         [ Alcotest.test_case "legal escalation" `Quick test_escalation_legal;
           Alcotest.test_case "mode too weak" `Quick
