@@ -169,7 +169,7 @@ let of_json json =
 
 let save path runs =
   let channel = open_out path in
-  output_string channel (Obs.Json.to_string ~indent:2 (to_json runs));
+  Obs.Json.output ~indent:2 channel (to_json runs);
   output_char channel '\n';
   close_out channel
 

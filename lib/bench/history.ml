@@ -113,9 +113,9 @@ let append ~path ~source ~label metrics =
     ~finally:(fun () -> close_out_noerr channel)
     (fun () ->
       let buffer = Buffer.create 256 in
-      Buffer.add_string buffer (Obs.Json.to_string (to_json record));
+      Obs.Json.add buffer (to_json record);
       Buffer.add_char buffer '\n';
-      output_string channel (Buffer.contents buffer);
+      Buffer.output_buffer channel buffer;
       flush channel);
   record
 

@@ -7,87 +7,128 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-let escape text =
-  let buffer = Buffer.create (String.length text + 2) in
-  String.iter
-    (fun char ->
-      match char with
-      | '"' -> Buffer.add_string buffer "\\\""
-      | '\\' -> Buffer.add_string buffer "\\\\"
-      | '\n' -> Buffer.add_string buffer "\\n"
-      | '\r' -> Buffer.add_string buffer "\\r"
-      | '\t' -> Buffer.add_string buffer "\\t"
-      | char when Char.code char < 0x20 ->
-        Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code char))
-      | char -> Buffer.add_char buffer char)
-    text;
-  Buffer.contents buffer
+(* The serializer appends straight into the caller's buffer: no
+   intermediate strings per key, value or number, so a JSONL sink pays for
+   the bytes of a line and little else. *)
+
+let hex_digits = "0123456789abcdef"
+
+(* Copies [text] from [start] in runs between the bytes that need
+   escaping; a string with none goes in as one [add_substring]. *)
+let rec add_escaped buffer text start index =
+  if index = String.length text then
+    Buffer.add_substring buffer text start (index - start)
+  else
+    match String.unsafe_get text index with
+    | ('"' | '\\' | '\000' .. '\031') as char ->
+      Buffer.add_substring buffer text start (index - start);
+      (match char with
+       | '"' -> Buffer.add_string buffer "\\\""
+       | '\\' -> Buffer.add_string buffer "\\\\"
+       | '\n' -> Buffer.add_string buffer "\\n"
+       | '\r' -> Buffer.add_string buffer "\\r"
+       | '\t' -> Buffer.add_string buffer "\\t"
+       | char ->
+         Buffer.add_string buffer "\\u00";
+         Buffer.add_char buffer hex_digits.[Char.code char lsr 4];
+         Buffer.add_char buffer hex_digits.[Char.code char land 0xf]);
+      add_escaped buffer text (index + 1) (index + 1)
+    | _ -> add_escaped buffer text start (index + 1)
+
+let add_quoted buffer text =
+  Buffer.add_char buffer '"';
+  add_escaped buffer text 0 0;
+  Buffer.add_char buffer '"'
+
+(* Digits of [-n] for [n <= 0]: working on the negative side keeps
+   [min_int] in range. *)
+let rec add_negated_digits buffer n =
+  if n <= -10 then add_negated_digits buffer (n / 10);
+  Buffer.add_char buffer (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
+let add_int buffer n =
+  if n < 0 then begin
+    Buffer.add_char buffer '-';
+    add_negated_digits buffer n
+  end
+  else add_negated_digits buffer (-n)
 
 (* Integral floats render without a fractional part so counters exported as
-   floats stay readable; non-finite values have no JSON spelling and become
-   null. *)
-let float_repr value =
-  if not (Float.is_finite value) then "null"
+   floats stay readable; below 1e15 they convert to [int] exactly, and
+   [-0.0] keeps its sign as [-0]. Non-finite values have no JSON spelling
+   and become null. *)
+let add_float buffer value =
+  if not (Float.is_finite value) then Buffer.add_string buffer "null"
   else if Float.is_integer value && Float.abs value < 1e15 then
-    Printf.sprintf "%.0f" value
-  else Printf.sprintf "%.6g" value
+    if value = 0.0 && Float.sign_bit value then Buffer.add_string buffer "-0"
+    else add_int buffer (Float.to_int value)
+  else Buffer.add_string buffer (Printf.sprintf "%.6g" value)
 
-let rec write buffer ~indent ~level json =
-  let pad level = String.make (level * indent) ' ' in
+let add_newline buffer ~indent ~level =
+  if indent > 0 then begin
+    Buffer.add_char buffer '\n';
+    for _ = 1 to level * indent do
+      Buffer.add_char buffer ' '
+    done
+  end
+
+let rec add_value buffer ~indent ~level json =
   match json with
   | Null -> Buffer.add_string buffer "null"
   | Bool b -> Buffer.add_string buffer (if b then "true" else "false")
-  | Int n -> Buffer.add_string buffer (string_of_int n)
-  | Float f -> Buffer.add_string buffer (float_repr f)
-  | String s ->
-    Buffer.add_char buffer '"';
-    Buffer.add_string buffer (escape s);
-    Buffer.add_char buffer '"'
+  | Int n -> add_int buffer n
+  | Float f -> add_float buffer f
+  | String s -> add_quoted buffer s
   | List [] -> Buffer.add_string buffer "[]"
-  | List items ->
-    Buffer.add_string buffer "[";
-    List.iteri
-      (fun index item ->
-        if index > 0 then Buffer.add_char buffer ',';
-        if indent > 0 then begin
-          Buffer.add_char buffer '\n';
-          Buffer.add_string buffer (pad (level + 1))
-        end;
-        write buffer ~indent ~level:(level + 1) item)
-      items;
-    if indent > 0 then begin
-      Buffer.add_char buffer '\n';
-      Buffer.add_string buffer (pad level)
-    end;
-    Buffer.add_string buffer "]"
+  | List (item :: items) ->
+    Buffer.add_char buffer '[';
+    add_item buffer ~indent ~level:(level + 1) item;
+    add_items buffer ~indent ~level:(level + 1) items;
+    add_newline buffer ~indent ~level;
+    Buffer.add_char buffer ']'
   | Obj [] -> Buffer.add_string buffer "{}"
-  | Obj fields ->
-    Buffer.add_string buffer "{";
-    List.iteri
-      (fun index (key, value) ->
-        if index > 0 then Buffer.add_char buffer ',';
-        if indent > 0 then begin
-          Buffer.add_char buffer '\n';
-          Buffer.add_string buffer (pad (level + 1))
-        end;
-        Buffer.add_char buffer '"';
-        Buffer.add_string buffer (escape key);
-        Buffer.add_string buffer "\": ";
-        write buffer ~indent ~level:(level + 1) value)
-      fields;
-    if indent > 0 then begin
-      Buffer.add_char buffer '\n';
-      Buffer.add_string buffer (pad level)
-    end;
-    Buffer.add_string buffer "}"
+  | Obj (field :: fields) ->
+    Buffer.add_char buffer '{';
+    add_field buffer ~indent ~level:(level + 1) field;
+    add_fields buffer ~indent ~level:(level + 1) fields;
+    add_newline buffer ~indent ~level;
+    Buffer.add_char buffer '}'
+
+and add_item buffer ~indent ~level item =
+  add_newline buffer ~indent ~level;
+  add_value buffer ~indent ~level item
+
+and add_items buffer ~indent ~level = function
+  | [] -> ()
+  | item :: items ->
+    Buffer.add_char buffer ',';
+    add_item buffer ~indent ~level item;
+    add_items buffer ~indent ~level items
+
+and add_field buffer ~indent ~level (key, value) =
+  add_newline buffer ~indent ~level;
+  add_quoted buffer key;
+  Buffer.add_string buffer ": ";
+  add_value buffer ~indent ~level value
+
+and add_fields buffer ~indent ~level = function
+  | [] -> ()
+  | field :: fields ->
+    Buffer.add_char buffer ',';
+    add_field buffer ~indent ~level field;
+    add_fields buffer ~indent ~level fields
+
+let add ?(indent = 0) buffer json = add_value buffer ~indent ~level:0 json
 
 let to_string ?(indent = 0) json =
   let buffer = Buffer.create 256 in
-  write buffer ~indent ~level:0 json;
+  add ~indent buffer json;
   Buffer.contents buffer
 
 let output ?(indent = 0) channel json =
-  output_string channel (to_string ~indent json)
+  let buffer = Buffer.create 4096 in
+  add ~indent buffer json;
+  Buffer.output_buffer channel buffer
 
 let pp formatter json = Format.pp_print_string formatter (to_string ~indent:2 json)
 

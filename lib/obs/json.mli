@@ -15,12 +15,19 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+val add : ?indent:int -> Buffer.t -> t -> unit
+(** Appends the encoding to the buffer. [indent = 0] (default) produces a
+    single line; a positive indent pretty-prints with that many spaces per
+    level. Integral floats below 1e15 in magnitude print as integers;
+    non-finite floats encode as [null]. Apart from non-integral floats,
+    encoding allocates nothing beyond the buffer's own growth. *)
+
 val to_string : ?indent:int -> t -> string
-(** [indent = 0] (default) produces a single line; a positive indent
-    pretty-prints with that many spaces per level. Non-finite floats encode
-    as [null]. *)
+(** {!add} into a fresh buffer. *)
 
 val output : ?indent:int -> out_channel -> t -> unit
+(** {!add} into a fresh buffer written in one piece; no flush. *)
+
 val pp : Format.formatter -> t -> unit
 
 val of_string : string -> (t, string) result

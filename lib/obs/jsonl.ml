@@ -1,30 +1,32 @@
-(* Each line is rendered into a buffer and written with a single
-   [output_string] followed by a flush: a run killed mid-stream (fault
-   plans abort anywhere) leaves a file of complete lines, never a torn
-   one. *)
+(* Each line is encoded into a buffer and written with a single
+   [Buffer.output_buffer] followed by a flush: a run killed mid-stream
+   (fault plans abort anywhere) leaves a file of complete lines, never a
+   torn one. *)
 
-let render event =
-  let buffer = Buffer.create 128 in
-  Buffer.add_string buffer (Json.to_string (Event.to_json event));
-  Buffer.add_char buffer '\n';
-  Buffer.contents buffer
+let add_line buffer event =
+  Json.add buffer (Event.to_json event);
+  Buffer.add_char buffer '\n'
 
-let write channel event =
-  output_string channel (render event);
-  flush channel
-
+(* The handler reuses one buffer for every line; cleared, not reset, so it
+   keeps the capacity of the longest line seen. *)
 let handler ?meter channel =
-  match meter with
-  | None -> fun event -> write channel event
-  | Some meter ->
-    fun event ->
-      let line = render event in
-      meter.Sink.m_bytes <- meter.Sink.m_bytes + String.length line;
-      output_string channel line;
-      flush channel
+  let buffer = Buffer.create 256 in
+  fun event ->
+    Buffer.clear buffer;
+    add_line buffer event;
+    (match meter with
+     | None -> ()
+     | Some meter ->
+       meter.Sink.m_bytes <- meter.Sink.m_bytes + Buffer.length buffer);
+    Buffer.output_buffer channel buffer;
+    flush channel
+
+let write channel event = handler channel event
 
 let write_events channel events =
-  List.iter (fun event -> output_string channel (render event)) events;
+  let buffer = Buffer.create 4096 in
+  List.iter (add_line buffer) events;
+  Buffer.output_buffer channel buffer;
   flush channel
 
 let iter ?(on_error = fun _ -> ()) in_channel f =

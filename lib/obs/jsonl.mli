@@ -8,12 +8,16 @@ val write : out_channel -> Event.t -> unit
     only whole lines behind. *)
 
 val handler : ?meter:Sink.meter -> out_channel -> Event.t -> unit
-(** Partial application form for {!Sink.create}. The caller owns the
-    channel (and its close). [?meter] accounts bytes written (see
-    {!Sink.bytes_written}). *)
+(** Partial application form for {!Sink.create}. Like {!write}, it writes
+    one complete line per event and flushes after every line. Each handler
+    owns one line buffer, reused for every event, so a handler must not run
+    on two domains at once (emit under a lock, as [Colock.Blocking] does).
+    The caller owns the channel (and its close). [?meter] accounts bytes
+    written (see {!Sink.bytes_written}). *)
 
 val write_events : out_channel -> Event.t list -> unit
-(** Batch form: renders every line, writes them, flushes once. *)
+(** Batch form: encodes every line into one buffer, writes it, flushes
+    once. *)
 
 val iter : ?on_error:(string -> unit) -> in_channel -> (Event.t -> unit) -> unit
 (** Streams a JSONL channel line by line in constant memory, calling the

@@ -1,5 +1,7 @@
 (* Tests for the observability layer: histogram quantile edge cases, ring
-   wraparound, collector span pairing, and the Chrome trace exporter. *)
+   wraparound, collector span pairing, the Chrome trace exporter, the JSON
+   encoder against its string-building predecessor, and the JSONL sink's
+   line-at-a-time contract. *)
 
 module Histogram = Obs.Histogram
 module Ring = Obs.Ring
@@ -240,6 +242,262 @@ let test_trace_exports_wait_span () =
   check_bool "has the process name" true (contains "\"proposed\"" rendered);
   check_bool "closes the txn span" true (contains "\"committed\"" rendered)
 
+(* ------------------------------------------------------------------- Json *)
+
+(* The string-building encoder [Obs.Json] had before it appended straight
+   into a buffer, kept verbatim as the byte-for-byte oracle. *)
+module Reference_json = struct
+  open Obs.Json
+
+  let escape text =
+    let buffer = Buffer.create (String.length text + 2) in
+    String.iter
+      (fun char ->
+        match char with
+        | '"' -> Buffer.add_string buffer "\\\""
+        | '\\' -> Buffer.add_string buffer "\\\\"
+        | '\n' -> Buffer.add_string buffer "\\n"
+        | '\r' -> Buffer.add_string buffer "\\r"
+        | '\t' -> Buffer.add_string buffer "\\t"
+        | char when Char.code char < 0x20 ->
+          Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code char))
+        | char -> Buffer.add_char buffer char)
+      text;
+    Buffer.contents buffer
+
+  let float_repr value =
+    if not (Float.is_finite value) then "null"
+    else if Float.is_integer value && Float.abs value < 1e15 then
+      Printf.sprintf "%.0f" value
+    else Printf.sprintf "%.6g" value
+
+  let rec write buffer ~indent ~level json =
+    let pad level = String.make (level * indent) ' ' in
+    match json with
+    | Null -> Buffer.add_string buffer "null"
+    | Bool b -> Buffer.add_string buffer (if b then "true" else "false")
+    | Int n -> Buffer.add_string buffer (string_of_int n)
+    | Float f -> Buffer.add_string buffer (float_repr f)
+    | String s ->
+      Buffer.add_char buffer '"';
+      Buffer.add_string buffer (escape s);
+      Buffer.add_char buffer '"'
+    | List [] -> Buffer.add_string buffer "[]"
+    | List items ->
+      Buffer.add_string buffer "[";
+      List.iteri
+        (fun index item ->
+          if index > 0 then Buffer.add_char buffer ',';
+          if indent > 0 then begin
+            Buffer.add_char buffer '\n';
+            Buffer.add_string buffer (pad (level + 1))
+          end;
+          write buffer ~indent ~level:(level + 1) item)
+        items;
+      if indent > 0 then begin
+        Buffer.add_char buffer '\n';
+        Buffer.add_string buffer (pad level)
+      end;
+      Buffer.add_string buffer "]"
+    | Obj [] -> Buffer.add_string buffer "{}"
+    | Obj fields ->
+      Buffer.add_string buffer "{";
+      List.iteri
+        (fun index (key, value) ->
+          if index > 0 then Buffer.add_char buffer ',';
+          if indent > 0 then begin
+            Buffer.add_char buffer '\n';
+            Buffer.add_string buffer (pad (level + 1))
+          end;
+          Buffer.add_char buffer '"';
+          Buffer.add_string buffer (escape key);
+          Buffer.add_string buffer "\": ";
+          write buffer ~indent ~level:(level + 1) value)
+        fields;
+      if indent > 0 then begin
+        Buffer.add_char buffer '\n';
+        Buffer.add_string buffer (pad level)
+      end;
+      Buffer.add_string buffer "}"
+
+  let to_string ?(indent = 0) json =
+    let buffer = Buffer.create 256 in
+    write buffer ~indent ~level:0 json;
+    Buffer.contents buffer
+end
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let float_edges =
+  [ -0.0; 0.0; Float.nan; Float.infinity; Float.neg_infinity; 1e15 -. 1.0;
+    -.(1e15 -. 1.0); 1e15; -1e15; 0.5; 1e-7; 123456.5 ]
+
+let int_edges = [ min_int; max_int; -1; 0; 1; -1234567 ]
+
+(* Strings mix plain runs with every byte class the escaper treats apart:
+   quote, backslash, the control bytes 0x00-0x1f, DEL and UTF-8. *)
+let gen_json_string =
+  let open QCheck.Gen in
+  let byte low high = map (fun code -> String.make 1 (Char.chr code)) (int_range low high) in
+  let fragment =
+    frequency
+      [ (3, string_size ~gen:printable (int_bound 4));
+        (2, oneofl [ "\""; "\\"; "\x7f"; "\xc3\xa9"; "\xe2\x82\xac"; "\xf0\x9f\x94\x92" ]);
+        (2, byte 0x00 0x1f);
+        (1, byte 0x80 0xff) ]
+  in
+  map (String.concat "") (list_size (int_bound 5) fragment)
+
+let gen_json_float =
+  let open QCheck.Gen in
+  frequency
+    [ (2, oneofl float_edges);
+      (2, map float_of_int small_signed_int);
+      (1, map (fun n -> float_of_int (n mod 1_000_000_000_000_000)) int);
+      (1, map float_of_int int);
+      (2, float) ]
+
+let gen_json =
+  let open QCheck.Gen in
+  let leaf =
+    frequency
+      [ (1, return Obs.Json.Null);
+        (1, map (fun b -> Obs.Json.Bool b) bool);
+        (1, map (fun n -> Obs.Json.Int n) (oneofl int_edges));
+        (2, map (fun n -> Obs.Json.Int n) (oneof [ small_signed_int; int ]));
+        (3, map (fun f -> Obs.Json.Float f) gen_json_float);
+        (3, map (fun s -> Obs.Json.String s) gen_json_string) ]
+  in
+  sized_size (int_bound 40)
+  @@ fix (fun self size ->
+         if size = 0 then leaf
+         else
+           frequency
+             [ (2, leaf);
+               (1, map (fun items -> Obs.Json.List items)
+                     (list_size (int_bound 4) (self (size / 3))));
+               (1, map (fun fields -> Obs.Json.Obj fields)
+                     (list_size (int_bound 4)
+                        (pair gen_json_string (self (size / 3))))) ])
+
+let encodes_like_reference json =
+  List.for_all
+    (fun indent ->
+      String.equal (Obs.Json.to_string ~indent json)
+        (Reference_json.to_string ~indent json))
+    [ 0; 2 ]
+  &&
+  (* [add] appends: what the buffer already held stays in front *)
+  let buffer = Buffer.create 1 in
+  Buffer.add_string buffer "prefix";
+  Obs.Json.add buffer json;
+  String.equal (Buffer.contents buffer) ("prefix" ^ Reference_json.to_string json)
+
+let test_json_edges_match_reference () =
+  let open Obs.Json in
+  let check_string = Alcotest.(check string) in
+  let document =
+    Obj
+      [ ("quote\"back\\slash\x00\x1f\x7f\xc3\xa9",
+         String "tab\tnl\nrc\r\x01\x1f\x7f\xe2\x82\xac\"\\");
+        ("ints", List (List.map (fun n -> Int n) int_edges));
+        ("floats", List (List.map (fun f -> Float f) float_edges));
+        ("empty", List [ List []; Obj []; Obj [ ("", List []) ] ]);
+        ("nested", Obj [ ("a", Obj [ ("b", List [ Null; Bool true; Bool false ]) ]) ]) ]
+  in
+  List.iter
+    (fun indent ->
+      check_string (Printf.sprintf "indent %d" indent)
+        (Reference_json.to_string ~indent document)
+        (to_string ~indent document))
+    [ 0; 1; 2 ];
+  check_string "-0.0 keeps its sign" "-0" (to_string (Float (-0.0)));
+  check_string "largest plain integral float" "999999999999999"
+    (to_string (Float (1e15 -. 1.0)));
+  check_string "nan is null" "null" (to_string (Float Float.nan));
+  check_string "min_int" (string_of_int min_int) (to_string (Int min_int));
+  check_string "0x1f escapes" "\"\\u001f\"" (to_string (String "\x1f"));
+  let path = Filename.temp_file "colock_json" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun channel ->
+          output ~indent:2 channel document);
+      check_string "output writes what to_string returns"
+        (Reference_json.to_string ~indent:2 document)
+        (read_file path))
+
+let test_json_matches_reference () =
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 1987 |])
+    (QCheck.Test.make ~count:2000 ~name:"Json.add = reference encoder"
+       (QCheck.make ~print:(Reference_json.to_string ~indent:2) gen_json)
+       encodes_like_reference)
+
+(* ------------------------------------------------------------------ Jsonl *)
+
+(* Every committed trace that [Jsonl] wrote (the why.t pair was written by
+   hand, with another field order, and is not among them). *)
+let encoder_fixtures =
+  [ "analyze.t/fixture.jsonl"; "top.t/fixture.jsonl"; "blame.t/fixture.jsonl";
+    "certify.t/clean.jsonl"; "certify.t/cycle.jsonl"; "certify.t/nontwopl.jsonl" ]
+
+let test_fixtures_reencode () =
+  List.iter
+    (fun fixture ->
+      let events, errors = Obs.Jsonl.load fixture in
+      Alcotest.(check (list string)) (fixture ^ " decodes cleanly") [] errors;
+      let copy = Filename.temp_file "colock_reencode" ".jsonl" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove copy)
+        (fun () ->
+          Out_channel.with_open_bin copy (fun channel ->
+              List.iter (Obs.Jsonl.handler channel) events);
+          Alcotest.(check string)
+            (fixture ^ " re-encodes byte for byte")
+            (read_file fixture) (read_file copy)))
+    encoder_fixtures
+
+let flush_events =
+  [ (0.0, Event.Run_meta { label = "flush \xe2\x9c\x93" });
+    (1.0, Event.Txn_begin { txn = 1 });
+    (2.5,
+     Event.Lock_waited
+       { txn = 1; resource = "db1/x"; mode = "X"; blockers = [ 2 ];
+         lu = Some { Event.lu_kind = "BLU"; lu_depth = 2 };
+         holders = [ { Event.h_txn = 2; h_mode = "S"; h_lu = None } ] });
+    (3.0, Event.Waits_for { edges = [ (1, 2) ] });
+    (4.0, Event.Txn_abort { txn = 1; reason = "said \"no\"\n\ttwice\x01" });
+    (1e6, Event.Txn_commit { txn = 2 }) ]
+
+(* After each event the file, read on a second channel, holds exactly the
+   lines so far: the handler flushes every line and never leaves one torn. *)
+let test_jsonl_handler_flushes_every_line () =
+  let path = Filename.temp_file "colock_flush" ".jsonl" in
+  let channel = open_out_bin path in
+  Fun.protect
+    ~finally:(fun () ->
+      close_out_noerr channel;
+      Sys.remove path)
+    (fun () ->
+      let sink = Obs.Sink.create [] in
+      Obs.Sink.attach sink
+        (Obs.Jsonl.handler ~meter:(Obs.Sink.meter sink) channel);
+      List.iteri
+        (fun index (time, kind) ->
+          Obs.Sink.emit_at sink ~time kind;
+          let expected =
+            List.filteri (fun position _ -> position <= index) flush_events
+            |> List.map (fun (time, kind) -> { Event.time; kind })
+          in
+          let events, errors = Obs.Jsonl.load path in
+          let label = Printf.sprintf "after event %d: " (index + 1) in
+          check_bool (label ^ "every event so far") true (events = expected);
+          Alcotest.(check (list string)) (label ^ "no diagnostics") [] errors;
+          check_int (label ^ "bytes_written is the file size")
+            (Unix.stat path).Unix.st_size
+            (Obs.Sink.bytes_written sink))
+        flush_events)
+
 let () =
   Alcotest.run "obs"
     [ ("histogram",
@@ -272,5 +530,15 @@ let () =
          Alcotest.test_case "memory keep" `Quick
            test_memory_keep_filters_ring_only ]);
       ("trace",
-       [ Alcotest.test_case "wait span" `Quick test_trace_exports_wait_span ])
+       [ Alcotest.test_case "wait span" `Quick test_trace_exports_wait_span ]);
+      ("json",
+       [ Alcotest.test_case "edge values match the reference" `Quick
+           test_json_edges_match_reference;
+         Alcotest.test_case "random documents match the reference" `Quick
+           test_json_matches_reference ]);
+      ("jsonl",
+       [ Alcotest.test_case "committed traces re-encode exactly" `Quick
+           test_fixtures_reencode;
+         Alcotest.test_case "handler flushes every line" `Quick
+           test_jsonl_handler_flushes_every_line ])
     ]
