@@ -776,7 +776,8 @@ let e15_resilience () =
       Sim.Scenario.compile graph (Sim.Scenario.Proposed protocol) specs
     in
     let config =
-      { Sim.Runner.default_config with resolution;
+      { Sim.Runner.default_config with
+        engine = { Sim.Runner.default_config.engine with resolution };
         backoff = Policy.Exponential { base = 25; cap = 400; seed = 15 };
         hog_hold = 1500; check_invariants = true }
     in
@@ -1119,7 +1120,10 @@ let e19_overload_control () =
     let config =
       match mode with
       | `Uncontrolled -> base
-      | `Wdl -> { base with restart = Policy.Wait_depth 1 }
+      | `Wdl ->
+        { base with
+          engine =
+            { base.Sim.Runner.engine with restart = Policy.Wait_depth 1 } }
       | `Admission ->
         { base with
           overload =

@@ -605,9 +605,9 @@ let simulate_cmd =
       else None
     in
     let config =
-      { Sim.Runner.default_config with resolution; victim; backoff;
-        max_restarts; restart; overload; check_invariants; snapshot_every;
-        on_advance }
+      { Sim.Runner.default_config with
+        engine = { Txn.Txn_manager.resolution; victim; restart }; backoff;
+        max_restarts; overload; check_invariants; snapshot_every; on_advance }
     in
     let faults = { faults with Sim.Fault.fault_seed = seed } in
     let observing =

@@ -17,7 +17,7 @@ let () =
   let graph = Colock.Instance_graph.build db in
   let table = Lockmgr.Lock_table.create () in
   let protocol = Colock.Protocol.create graph table in
-  let blocking = Colock.Blocking.create protocol in
+  let blocking = Txn.Blocking.create protocol in
 
   let node steps = Option.get (Node_id.of_steps steps) in
   let r1 = node [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r1" ] in
@@ -30,14 +30,14 @@ let () =
 
   let writer ~base ~first ~second () =
     for i = 0 to rounds - 1 do
-      Colock.Blocking.run_txn blocking ~txn:(base + i)
+      Txn.Blocking.run_txn blocking ~txn:(base + i)
         ~locks:[ (first, Mode.X); (second, Mode.X) ]
         (fun () -> Atomic.incr writes)
     done
   in
   let reader ~base () =
     for i = 0 to rounds - 1 do
-      Colock.Blocking.run_txn blocking ~txn:(base + i)
+      Txn.Blocking.run_txn blocking ~txn:(base + i)
         ~locks:[ (c_objects, Mode.S) ]
         (fun () -> Atomic.incr reads)
     done

@@ -191,12 +191,12 @@ type outcome =
       acquired : step list;
     }
 
-let run_plan protocol ~txn ?wait ?duration ?deadline steps =
+let run_plan protocol ~txn ?wait ?duration steps =
   let rec walk acquired = function
     | [] -> Acquired (List.rev acquired)
     | step :: rest -> (
       match
-        Lock_table.request protocol.table ~txn ?wait ?duration ?deadline
+        Lock_table.request protocol.table ~txn ?wait ?duration
           ~resource:step.resource step.mode
       with
       | Lock_table.Granted -> walk (step :: acquired) rest
@@ -205,9 +205,8 @@ let run_plan protocol ~txn ?wait ?duration ?deadline steps =
   in
   walk [] steps
 
-let acquire protocol ~txn ?wait ?duration ?deadline ?follow_references node
-    mode =
-  run_plan protocol ~txn ?wait ?duration ?deadline
+let acquire protocol ~txn ?wait ?duration ?follow_references node mode =
+  run_plan protocol ~txn ?wait ?duration
     (plan protocol ~txn ?follow_references node mode)
 
 let explicit_mode protocol ~txn (node : Instance_graph.node) =

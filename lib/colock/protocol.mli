@@ -86,14 +86,13 @@ type outcome =
 
 val acquire :
   t -> txn:Lockmgr.Lock_table.txn_id -> ?wait:bool ->
-  ?duration:Lockmgr.Lock_table.duration -> ?deadline:int ->
-  ?follow_references:bool -> Node_id.t -> Lockmgr.Lock_mode.t -> outcome
+  ?duration:Lockmgr.Lock_table.duration -> ?follow_references:bool ->
+  Node_id.t -> Lockmgr.Lock_mode.t -> outcome
 (** Executes the plan, each step through {!Lockmgr.Lock_table.request}. On
     [Blocked] with [?wait] (default [true]) the transaction is enqueued in
     the lock table on the blocking node; re-call after the blocker releases.
     With [~wait:false] nothing is enqueued: the plan prefix stays granted, so
-    release it or retry. [?deadline] stamps any wait this acquisition enters;
-    enforcing it is the caller's job. *)
+    release it or retry. *)
 
 type protocol_violation =
   | Unknown_node of Node_id.t

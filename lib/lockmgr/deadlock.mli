@@ -2,8 +2,8 @@
 
     Locking techniques detect conflicts "usually when the corresponding data
     are accessed" (§1); blocked transactions can then form waits-for cycles,
-    which {!resolve} breaks by aborting victims — for the transaction
-    manager, the simulator and the blocking front-end alike. *)
+    which {!resolve} breaks by aborting victims for the transaction engine
+    ([Txn.Txn_manager]). *)
 
 val find_cycle :
   edges:(Lock_table.txn_id * Lock_table.txn_id) list ->

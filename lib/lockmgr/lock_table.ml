@@ -10,7 +10,6 @@ type waiter = {
   w_mode : Lock_mode.t;  (* target mode (for conversions: the converted mode) *)
   w_duration : duration;
   w_conversion : bool;
-  w_deadline : int option;  (* wait abandoned past this tick (timeouts) *)
   w_holders : Obs.Event.holder list;
       (* the granted group that blocked this request at enqueue time, so the
          eventual queue-served grant can report who it was stuck behind;
@@ -204,8 +203,7 @@ let enqueue entry waiter =
 let already_waiting entry txn =
   List.exists (fun waiter -> waiter.w_txn = txn) entry.waiting
 
-let request table ~txn ?(wait = true) ?(duration = Short) ?deadline ~resource
-    mode =
+let request table ~txn ?(wait = true) ?(duration = Short) ~resource mode =
   table.stats.Lock_stats.requests <- table.stats.Lock_stats.requests + 1;
   if traced table then
     emit table
@@ -279,8 +277,7 @@ let request table ~txn ?(wait = true) ?(duration = Short) ?deadline ~resource
         if not queued then begin
           enqueue entry
             { w_txn = txn; w_mode = target; w_duration = duration;
-              w_conversion = conversion; w_deadline = deadline;
-              w_holders = holders };
+              w_conversion = conversion; w_holders = holders };
           index_txn table txn resource
         end;
         if traced table then
@@ -479,19 +476,6 @@ let wait_depth table ~txn =
         (best, reached))
   in
   fst (depth [] 0 txn)
-
-let expired_waiters table ~now =
-  Hashtbl.fold
-    (fun resource entry accu ->
-      List.fold_left
-        (fun accu waiter ->
-          match waiter.w_deadline with
-          | Some deadline when now >= deadline ->
-            (waiter.w_txn, resource) :: accu
-          | Some _ | None -> accu)
-        accu entry.waiting)
-    table.entries []
-  |> List.sort compare
 
 let check_invariants table =
   let violations = ref [] in

@@ -52,8 +52,8 @@ val resource_lu : t -> string -> Obs.Event.lu option
     the table (timeout aborts, snapshots) that tag their own events. *)
 
 val request :
-  t -> txn:txn_id -> ?wait:bool -> ?duration:duration -> ?deadline:int ->
-  resource:string -> Lock_mode.t -> outcome
+  t -> txn:txn_id -> ?wait:bool -> ?duration:duration -> resource:string ->
+  Lock_mode.t -> outcome
 (** Requests (or converts to) the supremum of the given mode and the mode
     already held. FIFO fairness: a fresh request waits while the queue is
     non-empty; conversions jump the queue (standard upgrade handling). A
@@ -64,12 +64,8 @@ val request :
     it is enqueued and counted as a wait. Not waiting, it is neither queued
     nor counted as a wait and leaves the table as it found it, apart from
     the [requests] and [conflict_tests] counters; [Waiting] then only names
-    the blockers.
-
-    [?deadline] stamps the queued request with an absolute tick after which
-    the wait should be abandoned; the table only records it (see
-    {!expired_waiters}) — enforcing the timeout is the caller's job (the
-    transaction manager or the simulator own time). *)
+    the blockers. How long a request may wait is not the table's business:
+    the transaction engine keeps the wait record and its timeout. *)
 
 val release : t -> txn:txn_id -> resource:string -> grant list
 (** Releases one lock (leaf-to-root release, de-escalation); returns the
@@ -126,10 +122,6 @@ val wait_depth : t -> txn:txn_id -> int
     wait-depth-limited restart policy bounds; cycles count once, so the
     result is finite even mid-deadlock. Transactions on no cycle are
     searched once each, so a DAG-shaped graph costs polynomial time. *)
-
-val expired_waiters : t -> now:int -> (txn_id * string) list
-(** Queued requests whose {!request} deadline has passed ([now >= deadline]),
-    sorted; transactions listed here are candidates for a timeout abort. *)
 
 val check_invariants : t -> string list
 (** Structural soundness audit, for chaos tests and debugging: no two

@@ -5,9 +5,7 @@
     and lock-wait {e timeouts} (the trade-off contrasted by the altruistic-
     locking and data-contention literature in PAPERS.md). These types make
     the choice — plus victim selection and restart backoff — configuration
-    rather than hard-coded behaviour, shared by the transaction manager and
-    the discrete-event simulator; {!choose_victim} also picks the blocking
-    front-end's victims, through {!Deadlock.resolve}. *)
+    of the transaction engine and the simulator, not hard-coded behaviour. *)
 
 type resolution =
   | Detection  (** run cycle detection whenever a request starts waiting *)

@@ -11,7 +11,7 @@ val handler : ?meter:Sink.meter -> out_channel -> Event.t -> unit
 (** Partial application form for {!Sink.create}. Like {!write}, it writes
     one complete line per event and flushes after every line. Each handler
     owns one line buffer, reused for every event, so a handler must not run
-    on two domains at once (emit under a lock, as [Colock.Blocking] does).
+    on two domains at once (emit under a lock, as [Txn.Blocking] does).
     The caller owns the channel (and its close). [?meter] accounts bytes
     written (see {!Sink.bytes_written}). *)
 

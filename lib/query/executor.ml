@@ -64,6 +64,7 @@ type error =
     }
   | Database_error of Nf2.Database.error
   | Graph_error of string
+  | Victim
 
 let pp_error formatter = function
   | Parse_error parse_error -> Parser.pp_error formatter parse_error
@@ -75,6 +76,7 @@ let pp_error formatter = function
       (if waiting then " (queued)" else "")
   | Database_error db_error -> Nf2.Database.pp_error formatter db_error
   | Graph_error message -> Format.pp_print_string formatter message
+  | Victim -> Format.pp_print_string formatter "aborted by the transaction engine"
 
 (* Walk instance nodes and values in lockstep.  Instance children of a HoLU
    were built in member order, so positional pairing is exact. *)

@@ -6,8 +6,11 @@
     members of the selected collection (Q2's [r.robot_id = 'r1']) locks the
     matching member nodes individually (Fig. 7 locks "robot r1", not the
     whole list); otherwise the granule chosen by escalation anticipation is
-    used. Locks stay held until the caller ends the transaction through
-    {!Colock.Protocol} (strict two-phase locking). *)
+    used. Locks stay held until the caller ends the transaction (strict
+    two-phase locking).
+
+    A conflicting statement only queues ([Blocked]); what the wait means is
+    the transaction engine's decision, to which [Session] hands it. *)
 
 type t
 
@@ -56,6 +59,9 @@ type error =
     }
   | Database_error of Nf2.Database.error
   | Graph_error of string  (** incremental instance-graph maintenance *)
+  | Victim
+      (** the transaction engine sacrificed this transaction while the
+          statement waited ([Session] reports it; {!run} never does) *)
 
 val pp_error : Format.formatter -> error -> unit
 

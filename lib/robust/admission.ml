@@ -5,12 +5,6 @@ let priority_to_string = function
   | Normal -> "normal"
   | Low -> "low"
 
-let priority_of_string = function
-  | "high" -> Ok High
-  | "normal" -> Ok Normal
-  | "low" -> Ok Low
-  | s -> Error (Printf.sprintf "unknown priority %S (high|normal|low)" s)
-
 let rank = function High -> 2 | Normal -> 1 | Low -> 0
 
 type config = {
@@ -97,7 +91,6 @@ type t = {
   mutable queue : entry list; (* arrival order, oldest first *)
   mutable seq : int;
   mutable shed : int;
-  mutable admitted : int;
 }
 
 type decision = Admitted | Enqueued of { evicted : int option } | Rejected
@@ -110,7 +103,6 @@ let create cfg =
     queue = [];
     seq = 0;
     shed = 0;
-    admitted = 0;
   }
 
 let config t = t.cfg
@@ -118,7 +110,6 @@ let limit t = t.cur_limit
 let inflight t = t.inflight
 let queued t = List.length t.queue
 let shed_count t = t.shed
-let admitted_count t = t.admitted
 
 let set_limit t n =
   t.cur_limit <- max t.cfg.min_limit (min t.cfg.max_limit n);
@@ -137,7 +128,6 @@ let eviction_candidate queue =
 let request t ~priority ~txn =
   if t.inflight < t.cur_limit then begin
     t.inflight <- t.inflight + 1;
-    t.admitted <- t.admitted + 1;
     Admitted
   end
   else begin
@@ -173,7 +163,6 @@ let pop t =
       in
       t.queue <- List.filter (fun (e : entry) -> e.seq <> best.seq) t.queue;
       t.inflight <- t.inflight + 1;
-      t.admitted <- t.admitted + 1;
       Some best.txn
 
 let pp ppf t =

@@ -14,7 +14,6 @@ type priority =
   | Low  (** read-only work: first to queue, first to shed *)
 
 val priority_to_string : priority -> string
-val priority_of_string : string -> (priority, string) result
 
 type config = {
   initial : int;  (** concurrency limit at start *)
@@ -55,8 +54,6 @@ val inflight : t -> int
 val queued : t -> int
 val shed_count : t -> int
 (** Cumulative transactions shed ({!Rejected} plus evictions). *)
-
-val admitted_count : t -> int
 
 val set_limit : t -> int -> int
 (** Clamps into [[min_limit, max_limit]] and returns the new limit.

@@ -33,12 +33,6 @@ let fate spec ~txn ~steps =
     else Normal
   end
 
-let fate_to_string = function
-  | Normal -> "normal"
-  | Crash_at step -> Printf.sprintf "crash@%d" step
-  | Stall factor -> Printf.sprintf "stall x%d" factor
-  | Hog -> "hog"
-
 let parse_error message = Error (`Msg ("faults: " ^ message))
 
 let of_string text =

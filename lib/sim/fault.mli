@@ -42,5 +42,3 @@ val of_string : string -> (spec, [ `Msg of string ]) result
 
 val to_string : spec -> string
 (** Round-trips the clause syntax (seed excluded); ["none"] when inactive. *)
-
-val fate_to_string : fate -> string

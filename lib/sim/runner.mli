@@ -3,12 +3,14 @@
     Jobs are transactions described as sequences of steps; a step acquires a
     lock plan and then holds the locks while "accessing data" for a fixed
     simulated duration. Strict 2PL: everything is released at commit.
-    Blocked jobs sit in the lock table's queues; releases wake them. How
-    collisions resolve is policy ({!Lockmgr.Policy}): waits-for detection,
-    lock-wait timeouts, or both, with pluggable victim selection and restart
-    backoff. Victims restart with the same transaction id (so authorization
-    assignments are stable). The run is fully deterministic, including
-    jittered backoff and injected faults ({!Fault}).
+    Blocked jobs sit in the lock table's queues; releases wake them.
+    Admission, waits, deadlock resolution, timeouts, contention restarts
+    and aborts are decided by the front door's engine ({!Txn.Txn_manager});
+    the simulator keeps virtual time, events, faults, metrics and the
+    restart verdict (restart budget, backoff, breaker). Victims restart
+    with the same transaction id (so authorization assignments are
+    stable). The run is fully deterministic, including jittered backoff
+    and injected faults ({!Fault}).
 
     Plans are transaction-id-indexed functions, so the same scenario runs
     unchanged under the proposed protocol (whose plans depend on the
@@ -44,14 +46,10 @@ val default_overload : overload
 
 type config = {
   max_restarts : int;  (** per job; exhausted jobs count as [gave_up] *)
-  resolution : Lockmgr.Policy.resolution;
-      (** how blocked-forever situations are resolved *)
-  victim : Lockmgr.Policy.victim;  (** who dies when a cycle is found *)
+  engine : Txn.Txn_manager.config;
+      (** what the transaction engine decides: deadlock [resolution], the
+          [victim] policy and the contention [restart] policy *)
   backoff : Lockmgr.Policy.backoff;  (** restart delay for victims *)
-  restart : Lockmgr.Policy.restart;
-      (** contention-control restart policy applied the moment a request
-          starts waiting (WDL / running-priority), independent of and
-          before deadlock [resolution] *)
   hog_hold : int;
       (** ticks a {!Fault.Hog} job sits on its locks before it is forced to
           crash-release them (bounds chaos runs even without detection) *)
@@ -79,8 +77,8 @@ type config = {
 }
 
 val default_config : config
-(** Detection, youngest victim, fixed backoff 50, no restart policy, max 20
-    restarts, hog hold 4000, no invariant checking, no snapshots, no pacing
+(** The engine's defaults (detection, youngest victim, no contention
+    restarts), fixed backoff 50, max 20 restarts, hog hold 4000, no invariant checking, no snapshots, no pacing
     hook, no overload control. *)
 
 val run :

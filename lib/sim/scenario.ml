@@ -154,7 +154,10 @@ let config_of_dsl (dsl : Workload.Dsl.t) =
           breaker = dsl.overload.breaker }
     else None
   in
-  { Runner.default_config with restart = dsl.overload.restart; overload }
+  { Runner.default_config with
+    engine =
+      { Runner.default_config.engine with restart = dsl.overload.restart };
+    overload }
 
 let faults_of_dsl (dsl : Workload.Dsl.t) =
   { Fault.crash = dsl.faults.crash; stall = dsl.faults.stall;

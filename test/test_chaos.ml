@@ -40,7 +40,8 @@ let run_chaos resolution =
   let protocol = Protocol.create graph table in
   let jobs = Sim.Scenario.compile graph (Sim.Scenario.Proposed protocol) specs in
   let config =
-    { Sim.Runner.default_config with resolution;
+    { Sim.Runner.default_config with
+      engine = { Sim.Runner.default_config.engine with resolution };
       backoff = Policy.Exponential { base = 20; cap = 300; seed = 9 };
       hog_hold = 400; check_invariants = true }
   in

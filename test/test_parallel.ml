@@ -1,5 +1,5 @@
 (* Real-concurrency tests: OCaml 5 domains blocking on the protocol through
-   Colock.Blocking. Outcomes are nondeterministic in scheduling but the
+   Txn.Blocking. Outcomes are nondeterministic in scheduling but the
    invariants are not: mutual exclusion under X, progress despite deadlocks,
    and a drained lock table at the end. *)
 
@@ -16,7 +16,7 @@ let make_blocking () =
   let graph = Graph.build db in
   let table = Table.create () in
   let protocol = Colock.Protocol.create graph table in
-  (table, Colock.Blocking.create protocol)
+  (table, Txn.Blocking.create protocol)
 
 let node steps = Option.get (Node_id.of_steps steps)
 let robot_r1 = node [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r1" ]
@@ -65,7 +65,7 @@ let test_mutual_exclusion_under_x () =
   let worker domain_index () =
     for i = 0 to increments - 1 do
       let txn = (domain_index * increments) + i + 1 in
-      Colock.Blocking.run_txn blocking ~txn
+      Txn.Blocking.run_txn blocking ~txn
         ~locks:[ (robot_r1, Mode.X) ]
         (fun () -> incr counter)
     done
@@ -84,7 +84,7 @@ let test_deadlock_recovery_across_domains () =
   let worker (first, second) base () =
     for i = 0 to 19 do
       let txn = base + i + 1 in
-      Colock.Blocking.run_txn blocking ~txn
+      Txn.Blocking.run_txn blocking ~txn
         ~locks:[ (first, Mode.X); (second, Mode.X) ]
         (fun () -> Atomic.incr completed)
     done
@@ -102,7 +102,7 @@ let test_shared_readers_make_progress () =
   let worker base () =
     for i = 0 to 29 do
       let txn = base + i + 1 in
-      Colock.Blocking.run_txn blocking ~txn
+      Txn.Blocking.run_txn blocking ~txn
         ~locks:[ (robot_r1, Mode.S); (robot_r2, Mode.S) ]
         (fun () -> Atomic.incr reads)
     done
@@ -120,7 +120,7 @@ let test_mixed_readers_and_writers () =
   let writer base () =
     for i = 0 to 14 do
       let txn = base + i + 1 in
-      Colock.Blocking.run_txn blocking ~txn
+      Txn.Blocking.run_txn blocking ~txn
         ~locks:[ (robot_r1, Mode.X) ]
         (fun () -> log := `Write txn :: !log)
     done
@@ -128,7 +128,7 @@ let test_mixed_readers_and_writers () =
   let reader base () =
     for i = 0 to 14 do
       let txn = base + i + 1 in
-      Colock.Blocking.run_txn blocking ~txn
+      Txn.Blocking.run_txn blocking ~txn
         ~locks:[ (robot_r1, Mode.S) ]
         (fun () -> ignore (List.length !log))
     done
@@ -151,15 +151,15 @@ let test_deadlock_counted_and_youngest_dies () =
   let table, blocking = make_blocking () in
   let met = Atomic.make 0 in
   let worker ~txn ~own ~other () =
-    (match Colock.Blocking.acquire blocking ~txn own Mode.X with
+    (match Txn.Blocking.acquire blocking ~txn own Mode.X with
      | `Granted -> ()
      | `Deadlock_victim -> Alcotest.fail "victim before any cycle");
     Atomic.incr met;
     while Atomic.get met < 2 do
       Domain.cpu_relax ()
     done;
-    let outcome = Colock.Blocking.acquire blocking ~txn other Mode.X in
-    Colock.Blocking.end_of_transaction blocking ~txn;
+    let outcome = Txn.Blocking.acquire blocking ~txn other Mode.X in
+    Txn.Blocking.end_of_transaction blocking ~txn;
     outcome
   in
   let first =
@@ -187,14 +187,14 @@ let test_third_party_victim_regression () =
   let writes = Atomic.make 0 in
   let writer ~base ~first ~second () =
     for i = 0 to 199 do
-      Colock.Blocking.run_txn blocking ~txn:(base + i)
+      Txn.Blocking.run_txn blocking ~txn:(base + i)
         ~locks:[ (first, Mode.X); (second, Mode.X) ]
         (fun () -> Atomic.incr writes)
     done
   in
   let reader ~base () =
     for i = 0 to 199 do
-      Colock.Blocking.run_txn blocking ~txn:(base + i)
+      Txn.Blocking.run_txn blocking ~txn:(base + i)
         ~locks:[ (c_objects, Mode.S) ]
         (fun () -> ())
     done

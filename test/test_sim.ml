@@ -18,6 +18,9 @@ let request steps mode =
 
 let fixed_plan requests _txn = requests
 
+(* the engine's defaults, for [{ engine with ... }] overrides *)
+let engine = Sim.Runner.default_config.Sim.Runner.engine
+
 (* ------------------------------------------------------------ Event queue *)
 
 let test_event_queue_order () =
@@ -179,7 +182,8 @@ let test_victim_wait_time_credited () =
   (* T1 (arrival 0) blocks on b at t=50; T2 (arrival 5) closes the cycle at
      t=55; the Oldest policy sacrifices T1, which by then has waited 5. *)
   let config =
-    { Sim.Runner.default_config with victim = Lockmgr.Policy.Oldest;
+    { Sim.Runner.default_config with
+      engine = { engine with victim = Lockmgr.Policy.Oldest };
       backoff = Lockmgr.Policy.Fixed 50 }
   in
   let metrics =
@@ -197,7 +201,7 @@ let test_timeout_resolution () =
   let table = Table.create () in
   let config =
     { Sim.Runner.default_config with
-      resolution = Lockmgr.Policy.Timeout 100;
+      engine = { engine with resolution = Lockmgr.Policy.Timeout 100 };
       backoff = Lockmgr.Policy.Fixed 50; check_invariants = true }
   in
   let holder =
@@ -228,7 +232,7 @@ let test_timeout_breaks_deadlock () =
   let table = Table.create () in
   let config =
     { Sim.Runner.default_config with
-      resolution = Lockmgr.Policy.Timeout 80;
+      engine = { engine with resolution = Lockmgr.Policy.Timeout 80 };
       backoff = Lockmgr.Policy.Exponential { base = 20; cap = 200; seed = 3 };
       check_invariants = true }
   in
@@ -261,7 +265,9 @@ let test_victim_policy_selects () =
             { Sim.Runner.plan = fixed_plan [ request [ second ] Mode.X ];
               access_cost = 50 } ] }
     in
-    let config = { Sim.Runner.default_config with victim = policy } in
+    let config =
+      { Sim.Runner.default_config with engine = { engine with victim = policy } }
+    in
     let (_ : Sim.Metrics.t) =
       Sim.Runner.run ~config ~table
         [ two_step 0 "a" "b"; two_step 5 "b" "a" ]
@@ -389,6 +395,111 @@ let test_runner_on_begin () =
   in
   Alcotest.(check (list int)) "txn ids" [ 2; 1 ] !seen
 
+(* ------------------------------------------------------- Lifecycle pin *)
+
+(* Seeded runs that between them emit every lifecycle event kind the
+   simulator has; each JSONL trace is compared by digest with the value
+   recorded before the transaction lifecycle moved into [Txn_manager]. *)
+let lifecycle_catalog =
+  lazy
+    (let db =
+       Workload.Generator.manufacturing
+         { Workload.Generator.default_manufacturing with cells = 3 }
+     in
+     let graph = Graph.build db in
+     let mix =
+       { Sim.Scenario.default_mix with jobs = 40; steps_per_job = 3;
+         arrival_gap = 20; read_fraction = 0.2; seed = 17 }
+     in
+     (graph, Sim.Scenario.manufacturing_mix db graph mix))
+
+let lifecycle_digest ?(faults = Sim.Fault.none) config =
+  let graph, specs = Lazy.force lifecycle_catalog in
+  let events = ref [] in
+  let sink = Obs.Sink.create [ (fun event -> events := event :: !events) ] in
+  let table = Table.create ~obs:sink () in
+  let protocol = Colock.Protocol.create graph table in
+  let jobs = Sim.Scenario.compile graph (Sim.Scenario.Proposed protocol) specs in
+  let (_ : Sim.Metrics.t) = Sim.Runner.run ~config ~faults ~table jobs in
+  let path = Filename.temp_file "lifecycle" ".jsonl" in
+  let channel = open_out path in
+  Obs.Jsonl.write_events channel (List.rev !events);
+  close_out channel;
+  let digest = Digest.to_hex (Digest.file path) in
+  Sys.remove path;
+  let kinds =
+    List.sort_uniq String.compare
+      (List.map (fun event -> Obs.Event.name event.Obs.Event.kind) !events)
+  in
+  (digest, kinds)
+
+(* [(name, config, faults, digest)]: the digests were recorded once and
+   must never be edited to make a change pass. *)
+let lifecycle_runs =
+  let base = Sim.Runner.default_config in
+  let with_engine engine = { base with Sim.Runner.engine } in
+  let victim victim = with_engine { engine with victim } in
+  let overload =
+    { Sim.Runner.default_overload with
+      admission =
+        Some
+          { Robust.Admission.default_config with
+            initial = 2; min_limit = 1; max_limit = 4; queue_capacity = 2 };
+      budget = Some { Robust.Budget.ratio = 0.2; burst = 1.0 };
+      breaker =
+        Some
+          { Robust.Breaker.failure_rate = 0.3; min_events = 4; open_for = 100;
+            probes = 2 } }
+  in
+  let none = Sim.Fault.none in
+  [ ("youngest", victim Lockmgr.Policy.Youngest, none,
+     "2ac8706bc74079e30742bd15070ccc83");
+    ("oldest", victim Lockmgr.Policy.Oldest, none,
+     "e6fbdca5334f2bd15ad2f6c5cc742859");
+    ("fewest-locks", victim Lockmgr.Policy.Fewest_locks, none,
+     "3fd15fe522b723ef21a6f979f7b89489");
+    ("least-work", victim Lockmgr.Policy.Least_work, none,
+     "5f691df9b0b12cea69b84615f2a38d9f");
+    ("timeout", with_engine { engine with resolution = Lockmgr.Policy.Timeout 150 },
+     none,
+     "8973300fcd2ea95e8344b80f81580e7f");
+    ("hybrid with faults",
+     { (with_engine { engine with resolution = Lockmgr.Policy.Hybrid 200 })
+       with hog_hold = 500 },
+     { Sim.Fault.crash = 0.05; stall = 0.2; stall_factor = 4; hog = 0.05;
+       fault_seed = 3 },
+     "7c927cd54b66e197c7926773a0ecf3ba");
+    ("wdl", with_engine { engine with restart = Lockmgr.Policy.Wait_depth 1 },
+     none,
+     "d82fa3cd5b343480c9d54aa92cf20396");
+    ("running-priority",
+     with_engine { engine with restart = Lockmgr.Policy.Running_priority },
+     none,
+     "2f0be456d1975f06477b873adac8b323");
+    ("restarts and snapshots",
+     { base with max_restarts = 1; snapshot_every = Some 200 }, none,
+     "692f1fc92fd3043bf5eacd9fed252ce5");
+    ("overload",
+     { (with_engine { engine with restart = Lockmgr.Policy.Wait_depth 1 })
+       with overload = Some overload },
+     none, "9685ee662869b1eda4fe2ce14e7ddaa1") ]
+
+let test_lifecycle_pinned () =
+  let seen =
+    List.concat_map
+      (fun (name, config, faults, expected) ->
+        let digest, kinds = lifecycle_digest ~faults config in
+        Alcotest.(check string) (name ^ ": trace digest") expected digest;
+        kinds)
+      lifecycle_runs
+  in
+  List.iter
+    (fun kind ->
+      check_bool (kind ^ " emitted by some run") true (List.mem kind seen))
+    [ "victim_aborted"; "deadlock_detected"; "timeout_abort";
+      "contention_abort"; "txn_abort"; "waits_for"; "admission";
+      "admission_limit"; "breaker"; "retry_denied" ]
+
 (* ----------------------------------------------------- Technique contrasts *)
 
 let scenario_env () =
@@ -484,7 +595,8 @@ let () =
          Alcotest.test_case "avg response counts gave up" `Quick
            test_avg_response_counts_gave_up;
          Alcotest.test_case "deterministic" `Quick test_runner_deterministic;
-         Alcotest.test_case "on_begin" `Quick test_runner_on_begin ]);
+         Alcotest.test_case "on_begin" `Quick test_runner_on_begin;
+         Alcotest.test_case "lifecycle pinned" `Quick test_lifecycle_pinned ]);
       ("resilience",
        [ Alcotest.test_case "victim wait time credited" `Quick
            test_victim_wait_time_credited;
