@@ -69,10 +69,9 @@ let () =
 
   print_endline "engineer 2 finishes; the librarian's X lock is granted:";
   let grants = Txn.Txn_manager.commit manager engineer_2 in
-  let woken = Txn.Txn_manager.unblocked manager grants in
   List.iter
-    (fun txn -> Printf.printf "  T%d resumes\n" txn.Txn.Transaction.id)
-    woken;
+    (fun grant -> Printf.printf "  T%d resumes\n" grant.Table.g_txn)
+    grants;
   (match Txn.Txn_manager.acquire manager librarian e2 Mode.X with
    | Txn.Txn_manager.Granted ->
      Printf.printf "  librarian now holds e2 in %s\n"

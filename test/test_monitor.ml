@@ -407,10 +407,7 @@ let test_monitor_agrees_with_table_and_manager () =
   check_int "queue gauge = table's waiter count" (Table.waiter_count table)
     (gauge "wait_queue_depth");
   check_int "exactly one queued waiter" 1 (Table.waiter_count table);
-  let grants = Txn.Txn_manager.commit manager t1 in
-  let (_ : Txn.Transaction.t list) =
-    Txn.Txn_manager.unblocked manager grants
-  in
+  let (_ : Table.grant list) = Txn.Txn_manager.commit manager t1 in
   check_int "wait drained in both views" (Table.waiter_count table)
     (gauge "wait_queue_depth");
   check_int "no queued waiters left" 0 (Table.waiter_count table)
