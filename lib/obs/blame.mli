@@ -1,32 +1,28 @@
 (** Causal blame attribution: who caused each blocked tick.
 
     Complements {!Profile} (which says *where* blocked time lands on the
-    lock graph) with *who* it lands on: every wait span is segmented at
-    blocker-set changes (a holder releasing the resource, a re-emitted
-    [Lock_waited] reporting a fresh granted group) and each segment is
-    split equally across its live blockers. Shares of one wait sum to the
-    wait's duration, so blame over any partition equals {!Profile}'s
-    [total_blocked] — conservation is exact up to float rounding of the
-    equal splits, which is folded back into the largest share per wait.
+    lock graph) with *who* it lands on. A projection of the {!Spans} fold:
+    every wait span is segmented at blocker-set changes (a holder releasing
+    the resource, a re-emitted [Lock_waited] reporting a fresh granted
+    group) and each segment is split equally across its live blockers.
+    Shares of one wait sum to the wait's duration, so blame over any
+    partition equals {!Profile}'s [total_blocked] — conservation is exact up
+    to float rounding of the equal splits, which is folded back into the
+    largest share per wait.
 
     Works online ({!handle} as a sink handler, then {!finish}) and offline
-    ({!of_trace} on a decoded JSONL trace). Traces whose [Lock_waited]
-    events carry no [holders] (captured before blame existed) fall back to
-    the integer [blockers] list, with modes reconstructed from grants. *)
+    ({!of_trace} on a decoded JSONL trace). *)
 
-type agent =
+type agent = Spans.agent =
   | Txn of int  (** a blocking transaction *)
   | Queue
       (** the FIFO-fairness rule itself: nobody incompatible holds the
           resource, the request just queues behind earlier waiters *)
 
-val compare_agent : agent -> agent -> int
-(** Transactions ascending by id, [Queue] last. *)
-
 val agent_label : agent -> string
 (** ["T7"] or ["queue"]. *)
 
-type outcome = Granted | Aborted of string | Unfinished
+type outcome = Spans.outcome = Granted | Aborted of string | Unfinished
 
 type share = {
   sh_agent : agent;
@@ -88,7 +84,7 @@ val finish : ?label:string -> t -> report
 val of_events : ?label:string -> Event.t list -> report
 
 val of_trace : Event.t list -> report list
-(** Splits at [Run_meta] delimiters exactly as {!Profile.of_trace}. *)
+(** One report per run, split by {!Event.split_runs}. *)
 
 val to_json : report -> Json.t
 

@@ -743,21 +743,11 @@ let of_events ?modes ?label events =
   finish ?label certifier
 
 let of_trace ?modes events =
-  let flush certificates label batch =
-    match batch, label with
-    | [], None -> certificates
-    | batch, label -> of_events ?modes ?label (List.rev batch) :: certificates
-  in
-  let certificates, label, batch =
-    List.fold_left
-      (fun (certificates, label, batch) event ->
-        match event.Event.kind with
-        | Event.Run_meta { label = next } ->
-          (flush certificates label batch, Some next, [])
-        | _ -> (certificates, label, event :: batch))
-      ([], None, []) events
-  in
-  List.rev (flush certificates label batch)
+  Event.split_runs
+    (fun push -> List.iter push events)
+    ~start:(fun () -> create ?modes ())
+    ~push:handle
+    ~flush:(fun label certifier -> finish ?label certifier)
 
 (* ------------------------------------------------------------ rendering *)
 

@@ -1,13 +1,14 @@
 (** The event→metrics bridge: a sink handler that feeds a {!Registry}.
 
-    Counts every event kind under ["events.<name>"] and pairs span-shaped
-    events into three latency histograms:
+    Counts every event kind under ["events.<name>"] and feeds three latency
+    histograms:
 
-    - ["lock_wait"] — [Lock_waited] to the matching queued [Lock_granted];
+    - ["lock_wait"] — each granted wait span of its {!Spans} fold;
     - ["grant_latency"] — [Lock_requested] to [Lock_granted] (immediate
       grants observe ≈ 0, so the histogram shows the full grant path);
-    - ["txn_response"] — first [Txn_begin] to [Txn_commit] per transaction
-      (restarted deadlock victims keep their original begin time). *)
+    - ["txn_response"] — each committed lifecycle of its {!Spans} fold,
+      first [Txn_begin] to [Txn_commit] (restarted deadlock victims keep
+      their original begin time). *)
 
 type t
 
@@ -16,6 +17,10 @@ val create : ?registry:Registry.t -> unit -> t
     keys even for runs without waits. *)
 
 val registry : t -> Registry.t
+
+val spans : t -> Spans.t
+(** The collector's span fold, for projections that ride along (the
+    {!Monitor} subscribes to it). *)
 
 val handle : t -> Event.t -> unit
 (** Pass [handle collector] to {!Sink.create}. *)

@@ -65,25 +65,25 @@ let equal_split duration keys =
     (first, duration -. tail_total) :: List.map (fun key -> (key, width)) rest
 
 let level_key (span : Profile.span) =
-  match span.Profile.s_lu with
+  match span.Spans.s_lu with
   | Some { Event.lu_kind; _ } -> lu_kind
   | None -> "untagged"
 
 let depth_key (span : Profile.span) =
-  match span.Profile.s_lu with
+  match span.Spans.s_lu with
   | Some { Event.lu_depth; _ } -> string_of_int lu_depth
   | None -> "untagged"
 
 let cell_keys (span : Profile.span) =
   let holders =
-    match span.Profile.s_holder_modes with
+    match span.Spans.s_holder_modes with
     | [] -> [ "queue" ]
     | modes -> modes
   in
-  List.map (fun holder -> span.Profile.s_mode ^ "<-" ^ holder) holders
+  List.map (fun holder -> span.Spans.s_mode ^ "<-" ^ holder) holders
 
 let blocker_keys (span : Profile.span) =
-  match span.Profile.s_blockers with
+  match span.Spans.s_blockers with
   | [] -> [ "queue" ]
   | blockers -> List.map (fun txn -> "T" ^ string_of_int txn) blockers
 
@@ -201,7 +201,7 @@ let of_reports ?label ~(base : Profile.report) ~(cand : Profile.report) () =
     cand_waits = cand.Profile.wait_count;
     levels = part (single level_key);
     depths = part (single depth_key);
-    resources = part (single (fun span -> span.Profile.s_resource));
+    resources = part (single (fun span -> span.Spans.s_resource));
     cells = part (split_over cell_keys);
     blockers = part (split_over blocker_keys) }
 

@@ -58,7 +58,7 @@ let sanitize frame =
   String.map (function ';' -> ':' | ' ' -> '_' | c -> c) frame
 
 let frames_of_span span =
-  let { Profile.s_resource; s_mode; _ } = span in
+  let { Spans.s_resource; s_mode; _ } = span in
   List.map sanitize (path_steps s_resource) @ [ "mode:" ^ sanitize s_mode ]
 
 let of_spans ?label spans =

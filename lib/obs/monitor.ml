@@ -5,10 +5,12 @@
    engine and the Prometheus endpoint read.
 
    It owns a Collector on the same registry, so cumulative counters
-   ([events.*]) and whole-run histograms ride along for free; the monitor
-   itself only adds what has to be live.  A [Run_meta] delimiter resets the
-   whole registry (run isolation when one process serves several technique
-   runs) and relabels the monitor. *)
+   ([events.*]) and whole-run histograms ride along for free, and it reads
+   the waits, holds and lifecycles of the Collector's span fold; the
+   monitor itself only adds what has to be live.  A [Run_meta] delimiter
+   resets the whole registry and the fold (run isolation when one process
+   serves several technique runs), restarts the clock and relabels the
+   monitor. *)
 
 type resource_stat = {
   mutable r_blocked : float;
@@ -20,14 +22,10 @@ type t = {
   registry : Registry.t;
   collector : Collector.t;
   span : float;
-  hot_k : int;
   mutex : Mutex.t;
   (* the windows list mirrors the registry's, kept here so per-event
      advancing does not re-sort a hashtable *)
   mutable live_windows : Window.t list;
-  waits : (int * string, float * Event.lu option * Event.holder list) Hashtbl.t;
-  held : (int * string, unit) Hashtbl.t;
-  active : (int, unit) Hashtbl.t;
   (* bounded hot-key state: the sketches admit at most [hot_k] keys, and
      [resources] / the hot_* gauges are evicted in lockstep, so memory and
      exposition cardinality stay O(hot_k) on million-object catalogs *)
@@ -72,38 +70,10 @@ let breaker_level = function
   | "open" -> 2.0
   | _ -> -1.0
 
-let create ?registry ?(span = 200.0) ?(hot_k = 32) () =
-  if hot_k <= 0 then invalid_arg "Monitor.create: hot_k must be positive";
-  let registry =
-    match registry with Some registry -> registry | None -> Registry.create ()
-  in
-  let collector = Collector.create ~registry () in
-  let monitor =
-    { registry; collector; span; hot_k; mutex = Mutex.create ();
-      live_windows = []; waits = Hashtbl.create 64; held = Hashtbl.create 256;
-      active = Hashtbl.create 64;
-      resource_sketch = Sketch.create ~k:hot_k;
-      blocker_sketch = Sketch.create ~k:hot_k;
-      resources = Hashtbl.create 256;
-      breaches = []; label = None; started = 0.0; now = 0.0; seen = false }
-  in
-  (* pre-declare the unlabelled instruments so exports carry stable keys *)
-  List.iter
-    (fun name ->
-      let window = Registry.window ~span monitor.registry name in
-      monitor.live_windows <- window :: monitor.live_windows)
-    [ window_wait; window_grants; window_commits; window_aborts;
-      window_deadlocks ];
-  List.iter
-    (fun name -> ignore (Registry.gauge monitor.registry name : Gauge.t))
-    [ gauge_active; gauge_entries; gauge_depth ];
-  monitor
-
 let registry monitor = monitor.registry
 let span monitor = monitor.span
 let label monitor = monitor.label
 let now monitor = monitor.now
-let started monitor = if monitor.seen then monitor.started else 0.0
 
 let locked monitor f =
   Mutex.lock monitor.mutex;
@@ -131,9 +101,10 @@ let set_gauge monitor name value =
   Registry.set_gauge monitor.registry name (float_of_int value)
 
 let sync_gauges monitor =
-  set_gauge monitor gauge_active (Hashtbl.length monitor.active);
-  set_gauge monitor gauge_entries (Hashtbl.length monitor.held);
-  set_gauge monitor gauge_depth (Hashtbl.length monitor.waits)
+  let spans = Collector.spans monitor.collector in
+  set_gauge monitor gauge_active (Spans.active spans);
+  set_gauge monitor gauge_entries (Spans.held spans);
+  set_gauge monitor gauge_depth (Spans.waiting spans)
 
 let resource_stat monitor resource =
   match Hashtbl.find_opt monitor.resources resource with
@@ -188,38 +159,52 @@ let charge_blockers monitor ~holders ~blocked =
       | None -> ())
     labels
 
-let charge_wait monitor ~resource ~lu ~holders ~start =
-  let blocked = Float.max 0.0 (monitor.now -. start) in
+(* Every closed wait is charged, granted or aborted: a victim's elapsed
+   blocked time was real contention (aborted waits hurt p99 too). *)
+let charge_wait monitor (wait : Spans.span) =
+  let blocked = Spans.duration wait in
+  let resource = wait.Spans.s_resource and lu = wait.Spans.s_lu in
   let stat = resource_stat monitor resource in
   stat.r_waits <- stat.r_waits + 1;
   (match lu with Some _ -> stat.r_lu <- lu | None -> ());
   charge_resource monitor resource ~blocked;
-  charge_blockers monitor ~holders ~blocked;
+  charge_blockers monitor ~holders:wait.Spans.s_holders ~blocked;
   observe_window monitor window_wait blocked;
   (match lu with
    | None -> ()
    | Some { Event.lu_kind; _ } ->
      observe_window monitor (labelled window_wait lu_kind) blocked)
 
-(* A victim's queued waits die with it; their elapsed blocked time was real
-   contention and is charged (aborted waits hurt p99 too). *)
-let drop_waits_of monitor txn =
-  Hashtbl.iter
-    (fun ((waiter, resource) as key) (start, lu, holders) ->
-      if waiter = txn then begin
-        charge_wait monitor ~resource ~lu ~holders ~start;
-        Hashtbl.remove monitor.waits key
-      end)
-    (Hashtbl.copy monitor.waits)
-
-let finish_txn monitor txn =
-  Hashtbl.remove monitor.active txn
+let create ?registry ?(span = 200.0) ?(hot_k = 32) () =
+  if hot_k <= 0 then invalid_arg "Monitor.create: hot_k must be positive";
+  let registry =
+    match registry with Some registry -> registry | None -> Registry.create ()
+  in
+  let collector = Collector.create ~registry () in
+  let monitor =
+    { registry; collector; span; mutex = Mutex.create ();
+      live_windows = [];
+      resource_sketch = Sketch.create ~k:hot_k;
+      blocker_sketch = Sketch.create ~k:hot_k;
+      resources = Hashtbl.create 256;
+      breaches = []; label = None; started = 0.0; now = 0.0; seen = false }
+  in
+  (* pre-declare the unlabelled instruments so exports carry stable keys *)
+  List.iter
+    (fun name ->
+      let window = Registry.window ~span monitor.registry name in
+      monitor.live_windows <- window :: monitor.live_windows)
+    [ window_wait; window_grants; window_commits; window_aborts;
+      window_deadlocks ];
+  List.iter
+    (fun name -> ignore (Registry.gauge monitor.registry name : Gauge.t))
+    [ gauge_active; gauge_entries; gauge_depth ];
+  Spans.on_wait (Collector.spans collector) (charge_wait monitor);
+  monitor
 
 let reset monitor =
   Registry.reset monitor.registry;
-  Hashtbl.reset monitor.waits;
-  Hashtbl.reset monitor.held;
-  Hashtbl.reset monitor.active;
+  Spans.reset (Collector.spans monitor.collector);
   Hashtbl.reset monitor.resources;
   Sketch.reset monitor.resource_sketch;
   Sketch.reset monitor.blocker_sketch;
@@ -233,7 +218,10 @@ let reset monitor =
       then Registry.remove_gauge monitor.registry name)
     (Registry.gauges monitor.registry);
   monitor.breaches <- [];
-  monitor.started <- monitor.now;
+  (* the next run keeps its own clock: its waits and windows age from its
+     own first event, not from the previous run's last *)
+  monitor.started <- 0.0;
+  monitor.now <- 0.0;
   monitor.seen <- false
 
 let begin_run monitor ~label =
@@ -246,42 +234,14 @@ let count_abort monitor reason =
   mark_window monitor window_aborts
 
 let handle_kind monitor kind =
+  (match Spans.abort_cause kind with
+   | Some cause -> count_abort monitor cause
+   | None -> ());
   match kind with
-  | Event.Txn_begin { txn } ->
-    Hashtbl.replace monitor.active txn ()
-  | Event.Txn_commit { txn } ->
-    finish_txn monitor txn;
-    mark_window monitor window_commits
-  | Event.Txn_abort { txn; reason } ->
-    finish_txn monitor txn;
-    drop_waits_of monitor txn;
-    (* deadlock/timeout victims already counted through their paired
-       Victim_aborted/Timeout_abort events (same taxonomy as Profile) *)
-    if
-      reason <> "deadlock_victim" && reason <> "timeout_victim"
-      && reason <> "contention_victim"
-    then count_abort monitor reason
-  | Event.Victim_aborted { txn; _ } ->
-    count_abort monitor "deadlock";
-    drop_waits_of monitor txn
-  | Event.Timeout_abort { txn; _ } ->
-    count_abort monitor "timeout";
-    drop_waits_of monitor txn
-  | Event.Lock_waited { txn; resource; lu; holders; _ } ->
-    if not (Hashtbl.mem monitor.waits (txn, resource)) then
-      Hashtbl.replace monitor.waits (txn, resource) (monitor.now, lu, holders)
-  | Event.Lock_granted { txn; resource; lu; _ } ->
-    (match Hashtbl.find_opt monitor.waits (txn, resource) with
-     | Some (start, wait_lu, holders) ->
-       Hashtbl.remove monitor.waits (txn, resource);
-       let lu = match wait_lu with Some _ -> wait_lu | None -> lu in
-       charge_wait monitor ~resource ~lu ~holders ~start
-     | None -> ());
-    Hashtbl.replace monitor.held (txn, resource) ();
+  | Event.Txn_commit _ -> mark_window monitor window_commits
+  | Event.Lock_granted { lu; _ } ->
     mark_window monitor window_grants;
     mark_lu monitor window_grants lu
-  | Event.Lock_released { txn; resource; _ } ->
-    Hashtbl.remove monitor.held (txn, resource)
   | Event.Deadlock_detected _ ->
     mark_window monitor window_deadlocks
   | Event.Slo_breach { rule; _ } ->
@@ -307,12 +267,11 @@ let handle_kind monitor kind =
     Registry.incr monitor.registry "retry.denied";
     Registry.set_gauge monitor.registry gauge_retry_denied
       (float_of_int (Registry.counter monitor.registry "retry.denied"))
-  | Event.Contention_abort { txn; _ } ->
-    count_abort monitor "contention";
-    drop_waits_of monitor txn
-  | Event.Lock_requested _ | Event.Conversion _ | Event.Escalation _
-  | Event.Deescalation _ | Event.Query_executed _ | Event.Sim_step _
-  | Event.Waits_for _ ->
+  | Event.Txn_begin _ | Event.Txn_abort _ | Event.Victim_aborted _
+  | Event.Timeout_abort _ | Event.Contention_abort _ | Event.Lock_waited _
+  | Event.Lock_released _ | Event.Lock_requested _ | Event.Conversion _
+  | Event.Escalation _ | Event.Deescalation _ | Event.Query_executed _
+  | Event.Sim_step _ | Event.Waits_for _ ->
     ()
 
 let handle monitor event =
@@ -361,8 +320,6 @@ let hot_resources ?(top = 10) monitor =
 let hot_blockers ?(top = 10) monitor =
   Sketch.top ~n:top monitor.blocker_sketch
   |> List.map (fun (label, estimate, _error) -> (label, estimate))
-
-let hot_k monitor = monitor.hot_k
 
 let breaches monitor = List.rev monitor.breaches
 

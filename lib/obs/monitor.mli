@@ -3,8 +3,9 @@
     state behind [/metrics], the SLO engine and [colock top].
 
     It embeds a {!Collector} on the same registry, so the cumulative
-    [events.*] counters and whole-run latency histograms ride along; the
-    monitor adds the live layer:
+    [events.*] counters and whole-run latency histograms ride along, and it
+    reads waits, held locks and live transactions from the Collector's
+    {!Spans} fold; the monitor adds the live layer:
 
     - gauges [active_txns], [lock_entries], [wait_queue_depth]
     - windows [window.grants], [window.commits], [window.aborts],
@@ -27,9 +28,10 @@
       [breaker_state] encodes the circuit breaker (0 closed, 1 half-open,
       2 open), [retry_denied] mirrors the exhausted-retry-budget counter
 
-    A [Run_meta] event resets the registry and relabels the monitor, so one
-    process comparing several techniques against one live endpoint never
-    bleeds stats between runs. *)
+    A [Run_meta] event resets the registry and the fold, restarts the clock
+    and relabels the monitor, so one process comparing several techniques
+    against one live endpoint never bleeds stats between runs: each run
+    reads as it would in a fresh monitor. *)
 
 type resource_stat = {
   mutable r_blocked : float;
@@ -56,14 +58,11 @@ val label : t -> string option
 (** The current run's label (from [Run_meta] or {!begin_run}). *)
 
 val begin_run : t -> label:string -> unit
-(** Resets everything and relabels — what a [Run_meta] event does, for
-    callers driving the monitor directly. *)
+(** Resets everything, the clock included, and relabels — what a
+    [Run_meta] event does, for callers driving the monitor directly. *)
 
 val now : t -> float
 (** Clock value of the latest event seen. *)
-
-val started : t -> float
-(** Clock value of the first event of the current run (0 before any). *)
 
 val elapsed : t -> float
 
@@ -83,8 +82,6 @@ val hot_blockers : ?top:int -> t -> (string * float) list
 (** Transactions most blamed for others' wait time, [(label, blamed)]
     descending (labels ["T<id>"] or ["queue"]); sketch-bounded like
     {!hot_resources}. *)
-
-val hot_k : t -> int
 
 val breaches : t -> (float * string) list
 (** SLO breach events seen this run, oldest first (last 32 kept). *)

@@ -2,34 +2,21 @@
    handler, or offline from a decoded JSONL trace — into a report that says
    *where* blocked time lands on the object-specific lock graph.
 
-   The unit of attribution is the wait span:
+   The unit of attribution is the wait span of [Spans]: opened by
+   [Lock_waited], closed by the matching grant, the waiter's abort, or the
+   end of stream.  Every span carries the waiter's lockable-unit annotation
+   (BLU/HoLU/HeLU + depth) and the modes held by its blockers when the wait
+   opened, so the same spans aggregate three ways: per LU level (the
+   paper's granule question), per resource (hot spots), and per mode×mode
+   conflict cell.  The sum over any of these partitions equals the total
+   blocked time — the report never invents or loses a tick relative to the
+   event stream. *)
 
-     Lock_waited(t0) ... Lock_granted(t1)          -> Granted,   dur t1-t0
-     Lock_waited(t0) ... Victim/Timeout/Txn_abort  -> Aborted,   dur ta-t0
-     Lock_waited(t0) ... end of stream             -> Unfinished, dur tend-t0
+type outcome = Spans.outcome = Granted | Aborted of string | Unfinished
 
-   Every span carries the waiter's lockable-unit annotation (BLU/HoLU/HeLU +
-   depth) and the modes held by its blockers when the wait opened, so the
-   same spans aggregate three ways: per LU level (the paper's granule
-   question), per resource (hot spots), and per mode×mode conflict cell.
-   The sum over any of these partitions equals the total blocked time — the
-   report never invents or loses a tick relative to the event stream. *)
+type span = Spans.span
 
-type outcome = Granted | Aborted of string | Unfinished
-
-type span = {
-  s_txn : int;
-  s_resource : string;
-  s_mode : string;
-  s_holder_modes : string list;  (* distinct, at wait-open; [] = FIFO queue *)
-  s_lu : Event.lu option;
-  s_blockers : int list;
-  s_start : float;
-  s_finish : float;
-  s_outcome : outcome;
-}
-
-let duration span = Float.max 0.0 (span.s_finish -. span.s_start)
+let duration = Spans.duration
 
 type level_stat = {
   v_level : string;
@@ -84,137 +71,43 @@ type report = {
 
 (* --------------------------------------------------------------- folding *)
 
-type open_wait = {
-  ow_mode : string;
-  ow_lu : Event.lu option;
-  ow_blockers : int list;
-  ow_holder_modes : string list;
-  ow_start : float;
-}
-
 type t = {
-  open_waits : (int * string, open_wait) Hashtbl.t;
-  held : (int * string, string) Hashtbl.t;  (* current granted modes *)
-  resource_lu : (string, Event.lu) Hashtbl.t;
-      (* tags learned from any event, so grants/releases annotate waits that
-         arrived untagged (and vice versa) *)
-  mutable spans : span list;  (* reversed *)
+  fold : Spans.t;
+  mutable spans : span list;  (* reversed; closed order *)
   mutable aborts : (string * int) list;
-  mutable events : int;
-  mutable first_time : float;
-  mutable last_time : float;
   mutable snapshots : int;
   mutable peak_wait_edges : int;
 }
 
 let create () =
-  { open_waits = Hashtbl.create 64; held = Hashtbl.create 256;
-    resource_lu = Hashtbl.create 256; spans = []; aborts = []; events = 0;
-    first_time = Float.infinity; last_time = Float.neg_infinity;
-    snapshots = 0; peak_wait_edges = 0 }
+  let fold = Spans.create () in
+  let profile =
+    { fold; spans = []; aborts = []; snapshots = 0; peak_wait_edges = 0 }
+  in
+  Spans.on_wait fold (fun span -> profile.spans <- span :: profile.spans);
+  profile
 
 let count_abort profile cause =
   let current = Option.value ~default:0 (List.assoc_opt cause profile.aborts) in
   profile.aborts <-
     (cause, current + 1) :: List.remove_assoc cause profile.aborts
 
-let learn_lu profile kind =
-  match Event.resource_of kind, Event.lu_of kind with
-  | Some resource, Some lu -> Hashtbl.replace profile.resource_lu resource lu
-  | (Some _ | None), _ -> ()
-
-let lu_for profile resource explicit =
-  match explicit with
-  | Some _ -> explicit
-  | None -> Hashtbl.find_opt profile.resource_lu resource
-
-let close_wait profile key finish s_outcome =
-  match Hashtbl.find_opt profile.open_waits key with
-  | None -> ()
-  | Some wait ->
-    Hashtbl.remove profile.open_waits key;
-    let txn, resource = key in
-    profile.spans <-
-      { s_txn = txn; s_resource = resource; s_mode = wait.ow_mode;
-        s_holder_modes = wait.ow_holder_modes;
-        s_lu = lu_for profile resource wait.ow_lu;
-        s_blockers = wait.ow_blockers; s_start = wait.ow_start;
-        s_finish = Float.max wait.ow_start finish; s_outcome }
-      :: profile.spans
-
-let close_waits_of profile txn finish s_outcome =
-  Hashtbl.fold (fun key _wait keys -> key :: keys) profile.open_waits []
-  |> List.iter (fun (waiter, resource) ->
-         if waiter = txn then
-           close_wait profile (waiter, resource) finish s_outcome)
-
 let handle profile event =
-  let { Event.time; kind } = event in
-  profile.events <- profile.events + 1;
-  if time < profile.first_time then profile.first_time <- time;
-  if time > profile.last_time then profile.last_time <- time;
-  learn_lu profile kind;
-  match kind with
-  | Event.Lock_waited { txn; resource; mode; blockers; lu; holders } ->
-    (* re-waits of an already-queued request keep the original open span *)
-    if not (Hashtbl.mem profile.open_waits (txn, resource)) then begin
-      let holder_modes =
-        match holders with
-        | [] ->
-          (* pre-holder trace: reconstruct the granted modes from grants
-             seen so far *)
-          List.filter_map
-            (fun blocker -> Hashtbl.find_opt profile.held (blocker, resource))
-            blockers
-          |> List.sort_uniq String.compare
-        | holders ->
-          List.map (fun { Event.h_mode; _ } -> h_mode) holders
-          |> List.sort_uniq String.compare
-      in
-      Hashtbl.replace profile.open_waits (txn, resource)
-        { ow_mode = mode; ow_lu = lu; ow_blockers = blockers;
-          ow_holder_modes = holder_modes; ow_start = time }
-    end
-  | Event.Lock_granted { txn; resource; mode; _ } ->
-    close_wait profile (txn, resource) time Granted;
-    Hashtbl.replace profile.held (txn, resource) mode
-  | Event.Conversion { txn; resource; to_mode; _ } ->
-    Hashtbl.replace profile.held (txn, resource) to_mode
-  | Event.Lock_released { txn; resource; _ } ->
-    Hashtbl.remove profile.held (txn, resource)
-  | Event.Victim_aborted { txn; _ } ->
-    count_abort profile "deadlock";
-    close_waits_of profile txn time (Aborted "deadlock")
-  | Event.Timeout_abort { txn; _ } ->
-    count_abort profile "timeout";
-    close_waits_of profile txn time (Aborted "timeout")
-  | Event.Txn_abort { txn; reason } ->
-    (* deadlock/timeout victims were already counted through their specific
-       events; the remaining reasons (crash, hog, user, gave_up) only show
-       up here *)
-    if
-      reason <> "deadlock_victim" && reason <> "timeout_victim"
-      && reason <> "contention_victim"
-    then count_abort profile reason;
-    close_waits_of profile txn time (Aborted reason)
-  | Event.Contention_abort { txn; _ } ->
-    count_abort profile "contention";
-    close_waits_of profile txn time (Aborted "contention")
+  Spans.handle profile.fold event;
+  (match Spans.abort_cause event.Event.kind with
+   | Some cause -> count_abort profile cause
+   | None -> ());
+  match event.Event.kind with
   | Event.Waits_for { edges } ->
     profile.snapshots <- profile.snapshots + 1;
     let count = List.length edges in
     if count > profile.peak_wait_edges then profile.peak_wait_edges <- count
-  | Event.Lock_requested _ | Event.Escalation _ | Event.Deescalation _
-  | Event.Deadlock_detected _ | Event.Txn_begin _ | Event.Txn_commit _
-  | Event.Query_executed _ | Event.Sim_step _ | Event.Run_meta _
-  | Event.Slo_breach _ | Event.Admission _ | Event.Admission_limit _
-  | Event.Breaker _ | Event.Retry_denied _ ->
-    ()
+  | _ -> ()
 
 (* ----------------------------------------------------- report assembly *)
 
 let level_of span =
-  match span.s_lu with
+  match span.Spans.s_lu with
   | Some { Event.lu_kind; _ } -> lu_kind
   | None -> "untagged"
 
@@ -232,7 +125,7 @@ let assemble_levels spans =
     String_map.add level
       ( blocked +. duration span,
         waits + 1,
-        String_map.add span.s_resource () resources )
+        String_map.add span.Spans.s_resource () resources )
       map
   in
   List.fold_left accumulate String_map.empty spans
@@ -247,7 +140,7 @@ let assemble_levels spans =
 
 let assemble_depths spans =
   let accumulate map span =
-    match span.s_lu with
+    match span.Spans.s_lu with
     | None -> map
     | Some { Event.lu_depth; _ } ->
       let blocked, waits =
@@ -265,12 +158,13 @@ let assemble_depths spans =
 let assemble_resources spans =
   let accumulate map span =
     let lu, blocked, waits =
-      match String_map.find_opt span.s_resource map with
+      match String_map.find_opt span.Spans.s_resource map with
       | Some entry -> entry
-      | None -> (span.s_lu, 0.0, 0)
+      | None -> (span.Spans.s_lu, 0.0, 0)
     in
-    let lu = match lu with Some _ -> lu | None -> span.s_lu in
-    String_map.add span.s_resource (lu, blocked +. duration span, waits + 1)
+    let lu = match lu with Some _ -> lu | None -> span.Spans.s_lu in
+    String_map.add span.Spans.s_resource
+      (lu, blocked +. duration span, waits + 1)
       map
   in
   List.fold_left accumulate String_map.empty spans
@@ -285,17 +179,18 @@ let assemble_resources spans =
 let assemble_matrix spans =
   let accumulate map span =
     let holders =
-      match span.s_holder_modes with [] -> [ "queue" ] | modes -> modes
+      match span.Spans.s_holder_modes with [] -> [ "queue" ] | modes -> modes
     in
     List.fold_left
       (fun map holder ->
-        let key = (span.s_mode, holder) in
+        let key = (span.Spans.s_mode, holder) in
         let count, blocked =
           match List.assoc_opt key map with
           | Some entry -> entry
           | None -> (0, 0.0)
         in
-        (key, (count + 1, blocked +. duration span)) :: List.remove_assoc key map)
+        (key, (count + 1, blocked +. duration span))
+        :: List.remove_assoc key map)
       map holders
   in
   List.fold_left accumulate [] spans
@@ -319,9 +214,9 @@ let assemble_txns spans =
   Array.iteri
     (fun index span ->
       let known =
-        Option.value ~default:[] (Hashtbl.find_opt by_txn span.s_txn)
+        Option.value ~default:[] (Hashtbl.find_opt by_txn span.Spans.s_txn)
       in
-      Hashtbl.replace by_txn span.s_txn (index :: known))
+      Hashtbl.replace by_txn span.Spans.s_txn (index :: known))
     spans;
   let memo = Array.make count None in
   let visiting = Array.make count false in
@@ -340,8 +235,8 @@ let assemble_txns spans =
                 (fun best candidate_index ->
                   let candidate = spans.(candidate_index) in
                   if
-                    candidate.s_start < span.s_finish
-                    && span.s_start < candidate.s_finish
+                    candidate.Spans.s_start < span.Spans.s_finish
+                    && span.Spans.s_start < candidate.Spans.s_finish
                   then
                     let length, _path = chain candidate_index in
                     match best with
@@ -350,17 +245,18 @@ let assemble_txns spans =
                   else best)
                 best
                 (Option.value ~default:[] (Hashtbl.find_opt by_txn blocker)))
-            None span.s_blockers
+            None span.Spans.s_blockers
         in
         let result =
           match extension with
           | None ->
             ( duration span,
-              [ { p_resource = span.s_resource; p_blocked = duration span } ] )
+              [ { p_resource = span.Spans.s_resource;
+                  p_blocked = duration span } ] )
           | Some (length, next_index) ->
             let _, path = chain next_index in
             ( duration span +. length,
-              { p_resource = span.s_resource; p_blocked = duration span }
+              { p_resource = span.Spans.s_resource; p_blocked = duration span }
               :: path )
         in
         visiting.(index) <- false;
@@ -392,23 +288,22 @@ let assemble_txns spans =
          | order -> order)
 
 let finish ?label profile =
-  let last_time = if profile.events = 0 then 0.0 else profile.last_time in
-  (* the stream ended with waiters still queued: attribute their blocked
-     time up to the last event, marked unfinished *)
-  Hashtbl.fold (fun key _wait keys -> key :: keys) profile.open_waits []
-  |> List.iter (fun key -> close_wait profile key last_time Unfinished);
+  (* the stream ended with waiters still queued: their blocked time up to
+     the last event is attributed, marked unfinished *)
+  Spans.finish profile.fold;
   let spans = List.rev profile.spans in
   let total_blocked =
     List.fold_left (fun total span -> total +. duration span) 0.0 spans
   in
   let unfinished =
     List.length
-      (List.filter (fun span -> span.s_outcome = Unfinished) spans)
+      (List.filter (fun span -> span.Spans.s_outcome = Unfinished) spans)
   in
-  { label; events = profile.events;
-    first_time = (if profile.events = 0 then 0.0 else profile.first_time);
-    last_time; total_blocked; wait_count = List.length spans; unfinished;
-    spans; levels = assemble_levels spans; depths = assemble_depths spans;
+  { label; events = Spans.events profile.fold;
+    first_time = Spans.first_time profile.fold;
+    last_time = Spans.last_time profile.fold; total_blocked;
+    wait_count = List.length spans; unfinished; spans;
+    levels = assemble_levels spans; depths = assemble_depths spans;
     resources = assemble_resources spans; matrix = assemble_matrix spans;
     aborts =
       List.sort (fun (a, _) (b, _) -> String.compare a b) profile.aborts;
@@ -421,67 +316,12 @@ let of_events ?label events =
   finish ?label profile
 
 (* A JSONL file can hold several runs, delimited by [Run_meta] lines; each
-   becomes its own report.  Events before the first delimiter form an
-   unlabelled report (a bare [colock simulate --jsonl] single-run trace). *)
+   becomes its own report. *)
 let of_trace events =
-  let flush reports label batch =
-    match batch, label with
-    | [], None -> reports
-    | batch, label -> of_events ?label (List.rev batch) :: reports
-  in
-  let reports, label, batch =
-    List.fold_left
-      (fun (reports, label, batch) event ->
-        match event.Event.kind with
-        | Event.Run_meta { label = next } ->
-          (flush reports label batch, Some next, [])
-        | _ -> (reports, label, event :: batch))
-      ([], None, []) events
-  in
-  List.rev (flush reports label batch)
-
-(* Each span's duration split equally over its blockers ("queue" when the
-   FIFO rule alone blocked it); the equal split's float residue lands on
-   the first (sorted) share so the partition sums to total_blocked to the
-   tick — the same discipline Blame and Diff use. *)
-let blockers (report : report) =
-  let accumulate map span =
-    let keys =
-      match span.s_blockers with
-      | [] -> [ "queue" ]
-      | blockers ->
-        List.sort_uniq String.compare
-          (List.map (fun txn -> "T" ^ string_of_int txn) blockers)
-    in
-    let shares =
-      match keys with
-      | [] -> []
-      | [ key ] -> [ (key, duration span) ]
-      | first :: rest ->
-        let width = duration span /. float_of_int (List.length keys) in
-        let tail =
-          List.fold_left (fun total _key -> total +. width) 0.0 rest
-        in
-        (first, duration span -. tail)
-        :: List.map (fun key -> (key, width)) rest
-    in
-    List.fold_left
-      (fun map (key, weight) ->
-        let blocked, waits =
-          match String_map.find_opt key map with
-          | Some cell -> cell
-          | None -> (0.0, 0)
-        in
-        String_map.add key (blocked +. weight, waits + 1) map)
-      map shares
-  in
-  List.fold_left accumulate String_map.empty report.spans
-  |> String_map.bindings
-  |> List.map (fun (label, (blocked, waits)) -> (label, blocked, waits))
-  |> List.sort (fun (a_label, a_blocked, _) (b_label, b_blocked, _) ->
-         match Float.compare b_blocked a_blocked with
-         | 0 -> String.compare a_label b_label
-         | order -> order)
+  Event.split_runs
+    (fun push -> List.iter push events)
+    ~start:create ~push:handle
+    ~flush:(fun label profile -> finish ?label profile)
 
 (* ------------------------------------------------------------ rendering *)
 

@@ -3,11 +3,12 @@
    to threads, so lock-wait and transaction spans of concurrent transactions
    stack as parallel timelines.
 
-   Span pairing happens here, at export time, from the flat event stream:
-     Lock_waited -> Lock_granted   "wait <resource>"   (cat "lock")
-     Txn_begin   -> Txn_commit/abort   "T<n>"          (cat "txn")
-   Unclosed spans (still blocked / still running when the capture ended)
-   close at the capture's last timestamp, marked unfinished. *)
+   The spans are the [Spans] fold's, rendered as they close:
+     wait span        "wait <resource>"   (cat "lock")
+     lifecycle span   "T<n>"              (cat "txn")
+   A wait that ended in anything but a grant (its waiter died, or it was
+   still blocked when the capture ended) is marked unfinished, as is a
+   transaction still running at the capture's last timestamp. *)
 
 let default_ts_scale = 1000.0
 (* Trace timestamps are microseconds.  Simulator ticks export as
@@ -33,166 +34,114 @@ let process_name ~pid name =
 
 let ints items = Json.List (List.map (fun i -> Json.Int i) items)
 
+(* [(tid, name, cat, args)] of the events that export as instants. *)
+let instant_of = function
+  | Event.Victim_aborted { txn; restarts } ->
+    Some
+      (txn, "victim aborted", "deadlock", [ ("restarts", Json.Int restarts) ])
+  | Event.Timeout_abort { txn; resource; waited; _ } ->
+    Some
+      ( txn, "timeout abort", "deadlock",
+        [ ("resource", Json.String resource); ("waited", Json.Int waited) ] )
+  | Event.Deadlock_detected { cycle } ->
+    let tid = match cycle with txn :: _ -> txn | [] -> 0 in
+    Some (tid, "deadlock", "deadlock", [ ("cycle", ints cycle) ])
+  | Event.Escalation { txn; node; mode; released_children } ->
+    Some
+      ( txn, "escalate " ^ node, "escalation",
+        [ ("mode", Json.String mode);
+          ("released_children", Json.Int released_children) ] )
+  | Event.Deescalation { txn; node; mode } ->
+    Some
+      (txn, "de-escalate " ^ node, "escalation", [ ("mode", Json.String mode) ])
+  | Event.Query_executed { txn; query; rows; locks_requested } ->
+    Some
+      ( txn, "query", "query",
+        [ ("query", Json.String query); ("rows", Json.Int rows);
+          ("locks_requested", Json.Int locks_requested) ] )
+  | Event.Sim_step { txn; step } ->
+    Some (txn, Printf.sprintf "step %d" step, "sim", [])
+  | Event.Waits_for { edges } ->
+    Some
+      ( 0, "waits-for", "deadlock",
+        [ ( "edges",
+            Json.List
+              (List.map
+                 (fun (waiter, blocker) -> ints [ waiter; blocker ])
+                 edges)
+          ) ] )
+  | Event.Slo_breach { rule; value; threshold } ->
+    Some
+      ( 0, "SLO breach", "slo",
+        [ ("rule", Json.String rule); ("value", Json.Float value);
+          ("threshold", Json.Float threshold) ] )
+  | Event.Admission { txn; priority; decision } ->
+    Some
+      ( txn, "admission " ^ decision, "overload",
+        [ ("priority", Json.String priority) ] )
+  | Event.Admission_limit { limit; inflight; queued; shed } ->
+    Some
+      ( 0, "admission limit", "overload",
+        [ ("limit", Json.Int limit); ("inflight", Json.Int inflight);
+          ("queued", Json.Int queued); ("shed", Json.Int shed) ] )
+  | Event.Breaker { from_state; to_state } ->
+    Some
+      (0, Printf.sprintf "breaker %s->%s" from_state to_state, "overload", [])
+  | Event.Retry_denied { txn; restarts } ->
+    Some (txn, "retry denied", "overload", [ ("restarts", Json.Int restarts) ])
+  | Event.Contention_abort { txn; policy; depth } ->
+    Some
+      ( txn, "contention abort", "overload",
+        [ ("policy", Json.String policy); ("depth", Json.Int depth) ] )
+  | Event.Lock_requested _ | Event.Lock_released _ | Event.Conversion _
+  | Event.Run_meta _ | Event.Lock_waited _ | Event.Lock_granted _
+  | Event.Txn_begin _ | Event.Txn_commit _ | Event.Txn_abort _ ->
+    None
+
 let group_events ~pid ~scale events =
   let out = ref [] in
   let push json = out := json :: !out in
-  let last_time =
-    List.fold_left (fun latest event -> Float.max latest event.Event.time) 0.0
-      events
-  in
-  let waits = Hashtbl.create 32 in
-  let begins = Hashtbl.create 32 in
-  let wait_span ~txn ~resource ~start ~finish ~mode ~blockers ~finished =
-    push
-      (complete ~pid ~tid:txn ~name:("wait " ^ resource) ~cat:"lock"
-         ~ts:(start *. scale)
-         ~dur:((finish -. start) *. scale)
-         ([ ("mode", Json.String mode); ("blockers", ints blockers) ]
-          @ if finished then [] else [ ("unfinished", Json.Bool true) ]))
-  in
-  let txn_span ~txn ~start ~finish ~outcome ~finished =
-    push
-      (complete ~pid ~tid:txn ~name:(Printf.sprintf "T%d" txn) ~cat:"txn"
-         ~ts:(start *. scale)
-         ~dur:((finish -. start) *. scale)
-         (("outcome", Json.String outcome)
-          :: (if finished then [] else [ ("unfinished", Json.Bool true) ])))
-  in
+  let spans = Spans.create () in
+  Spans.on_wait spans (fun wait ->
+      push
+        (complete ~pid ~tid:wait.Spans.s_txn
+           ~name:("wait " ^ wait.Spans.s_resource)
+           ~cat:"lock"
+           ~ts:(wait.Spans.s_start *. scale)
+           ~dur:((wait.Spans.s_finish -. wait.Spans.s_start) *. scale)
+           ([ ("mode", Json.String wait.Spans.s_mode);
+              ("blockers", ints wait.Spans.s_blockers) ]
+            @
+            match wait.Spans.s_outcome with
+            | Spans.Granted -> []
+            | Spans.Aborted _ | Spans.Unfinished ->
+              [ ("unfinished", Json.Bool true) ])));
+  Spans.on_life spans (fun { Spans.l_txn = txn; l_begin; l_end } ->
+      match l_begin with
+      | None -> ()
+      | Some start ->
+        let finish, outcome, finished =
+          match l_end with
+          | Some ("commit", time) -> (time, "committed", true)
+          | Some (reason, time) -> (time, reason, true)
+          | None -> (Spans.last_time spans, "running", false)
+        in
+        push
+          (complete ~pid ~tid:txn ~name:(Printf.sprintf "T%d" txn) ~cat:"txn"
+             ~ts:(start *. scale)
+             ~dur:((finish -. start) *. scale)
+             (("outcome", Json.String outcome)
+              :: (if finished then [] else [ ("unfinished", Json.Bool true) ]))));
   List.iter
-    (fun { Event.time; kind } ->
-      match kind with
-      | Event.Txn_begin { txn } ->
-        if not (Hashtbl.mem begins txn) then Hashtbl.replace begins txn time
-      | Event.Txn_commit { txn } -> (
-        match Hashtbl.find_opt begins txn with
-        | Some start ->
-          Hashtbl.remove begins txn;
-          txn_span ~txn ~start ~finish:time ~outcome:"committed" ~finished:true
-        | None -> ())
-      | Event.Txn_abort { txn; reason } -> (
-        match Hashtbl.find_opt begins txn with
-        | Some start ->
-          Hashtbl.remove begins txn;
-          txn_span ~txn ~start ~finish:time ~outcome:reason ~finished:true
-        | None -> ())
-      | Event.Lock_waited { txn; resource; mode; blockers; _ } ->
-        if not (Hashtbl.mem waits (txn, resource)) then
-          Hashtbl.replace waits (txn, resource) (time, mode, blockers)
-      | Event.Lock_granted { txn; resource; _ } -> (
-        match Hashtbl.find_opt waits (txn, resource) with
-        | Some (start, mode, blockers) ->
-          Hashtbl.remove waits (txn, resource);
-          wait_span ~txn ~resource ~start ~finish:time ~mode ~blockers
-            ~finished:true
-        | None -> ())
-      | Event.Victim_aborted { txn; restarts } ->
-        Hashtbl.iter
-          (fun (waiter, resource) (start, mode, blockers) ->
-            if waiter = txn then begin
-              Hashtbl.remove waits (waiter, resource);
-              wait_span ~txn ~resource ~start ~finish:time ~mode ~blockers
-                ~finished:false
-            end)
-          (Hashtbl.copy waits);
-        push
-          (instant ~pid ~tid:txn ~name:"victim aborted" ~cat:"deadlock"
-             ~ts:(time *. scale)
-             [ ("restarts", Json.Int restarts) ])
-      | Event.Timeout_abort { txn; resource; waited; _ } ->
-        Hashtbl.iter
-          (fun (waiter, res) (start, mode, blockers) ->
-            if waiter = txn then begin
-              Hashtbl.remove waits (waiter, res);
-              wait_span ~txn ~resource:res ~start ~finish:time ~mode ~blockers
-                ~finished:false
-            end)
-          (Hashtbl.copy waits);
-        push
-          (instant ~pid ~tid:txn ~name:"timeout abort" ~cat:"deadlock"
-             ~ts:(time *. scale)
-             [ ("resource", Json.String resource);
-               ("waited", Json.Int waited) ])
-      | Event.Deadlock_detected { cycle } ->
-        let tid = match cycle with txn :: _ -> txn | [] -> 0 in
-        push
-          (instant ~pid ~tid ~name:"deadlock" ~cat:"deadlock"
-             ~ts:(time *. scale)
-             [ ("cycle", ints cycle) ])
-      | Event.Escalation { txn; node; mode; released_children } ->
-        push
-          (instant ~pid ~tid:txn ~name:("escalate " ^ node) ~cat:"escalation"
-             ~ts:(time *. scale)
-             [ ("mode", Json.String mode);
-               ("released_children", Json.Int released_children) ])
-      | Event.Deescalation { txn; node; mode } ->
-        push
-          (instant ~pid ~tid:txn ~name:("de-escalate " ^ node)
-             ~cat:"escalation" ~ts:(time *. scale)
-             [ ("mode", Json.String mode) ])
-      | Event.Query_executed { txn; query; rows; locks_requested } ->
-        push
-          (instant ~pid ~tid:txn ~name:"query" ~cat:"query" ~ts:(time *. scale)
-             [ ("query", Json.String query); ("rows", Json.Int rows);
-               ("locks_requested", Json.Int locks_requested) ])
-      | Event.Sim_step { txn; step } ->
-        push
-          (instant ~pid ~tid:txn ~name:(Printf.sprintf "step %d" step)
-             ~cat:"sim" ~ts:(time *. scale) [])
-      | Event.Waits_for { edges } ->
-        push
-          (instant ~pid ~tid:0 ~name:"waits-for" ~cat:"deadlock"
-             ~ts:(time *. scale)
-             [ ( "edges",
-                 Json.List
-                   (List.map
-                      (fun (waiter, blocker) -> ints [ waiter; blocker ])
-                      edges) ) ])
-      | Event.Slo_breach { rule; value; threshold } ->
-        push
-          (instant ~pid ~tid:0 ~name:"SLO breach" ~cat:"slo"
-             ~ts:(time *. scale)
-             [ ("rule", Json.String rule); ("value", Json.Float value);
-               ("threshold", Json.Float threshold) ])
-      | Event.Admission { txn; priority; decision } ->
-        push
-          (instant ~pid ~tid:txn ~name:("admission " ^ decision)
-             ~cat:"overload" ~ts:(time *. scale)
-             [ ("priority", Json.String priority) ])
-      | Event.Admission_limit { limit; inflight; queued; shed } ->
-        push
-          (instant ~pid ~tid:0 ~name:"admission limit" ~cat:"overload"
-             ~ts:(time *. scale)
-             [ ("limit", Json.Int limit); ("inflight", Json.Int inflight);
-               ("queued", Json.Int queued); ("shed", Json.Int shed) ])
-      | Event.Breaker { from_state; to_state } ->
-        push
-          (instant ~pid ~tid:0
-             ~name:(Printf.sprintf "breaker %s->%s" from_state to_state)
-             ~cat:"overload" ~ts:(time *. scale) [])
-      | Event.Retry_denied { txn; restarts } ->
-        push
-          (instant ~pid ~tid:txn ~name:"retry denied" ~cat:"overload"
-             ~ts:(time *. scale)
-             [ ("restarts", Json.Int restarts) ])
-      | Event.Contention_abort { txn; policy; depth } ->
-        push
-          (instant ~pid ~tid:txn ~name:"contention abort" ~cat:"overload"
-             ~ts:(time *. scale)
-             [ ("policy", Json.String policy); ("depth", Json.Int depth) ])
-      | Event.Lock_requested _ | Event.Lock_released _ | Event.Conversion _
-      | Event.Run_meta _ ->
-        ())
+    (fun ({ Event.time; kind } as event) ->
+      Spans.handle spans event;
+      Option.iter
+        (fun (tid, name, cat, args) ->
+          push (instant ~pid ~tid ~name ~cat ~ts:(time *. scale) args))
+        (instant_of kind))
     events;
-  (* capture ended with spans still open *)
-  Hashtbl.iter
-    (fun (txn, resource) (start, mode, blockers) ->
-      wait_span ~txn ~resource ~start ~finish:last_time ~mode ~blockers
-        ~finished:false)
-    waits;
-  Hashtbl.iter
-    (fun txn start ->
-      txn_span ~txn ~start ~finish:last_time ~outcome:"running" ~finished:false)
-    begins;
+  (* the capture ended with spans still open *)
+  Spans.finish spans;
   List.rev !out
 
 let ts_of = function

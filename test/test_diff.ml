@@ -153,18 +153,22 @@ let test_tie_breaking () =
     [ "ra"; "rb" ]
     (List.map (fun (entry : Diff.entry) -> entry.e_key)
        report.Diff.resources);
-  (* the same discipline in Profile.blockers: equal shares, label order *)
+  (* the same discipline in the blockers partition: equal shares, label
+     order *)
   let blockers =
-    Profile.blockers
-      (Profile.of_events
-         [ at 0.0 (wait ~blockers:[ 2 ] ~holders:[ holder 2 ] 1 "ra" "X");
-           at 10.0 (grant 1 "ra" "X");
-           at 0.0 (wait ~blockers:[ 3 ] ~holders:[ holder 3 ] 4 "rb" "X");
-           at 10.0 (grant 4 "rb" "X") ])
+    (Diff.of_reports ~base:(Profile.of_events [])
+       ~cand:
+         (Profile.of_events
+            [ at 0.0 (wait ~blockers:[ 2 ] ~holders:[ holder 2 ] 1 "ra" "X");
+              at 10.0 (grant 1 "ra" "X");
+              at 0.0 (wait ~blockers:[ 3 ] ~holders:[ holder 3 ] 4 "rb" "X");
+              at 10.0 (grant 4 "rb" "X") ])
+       ())
+      .Diff.blockers
   in
   Alcotest.(check (list string))
     "equal blocker shares rank by label" [ "T2"; "T3" ]
-    (List.map (fun (label, _, _) -> label) blockers)
+    (List.map (fun (entry : Diff.entry) -> entry.e_key) blockers)
 
 (* ------------------------------------------------------- pairing drift *)
 

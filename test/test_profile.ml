@@ -86,13 +86,13 @@ let test_exact_attribution () =
 let test_outcomes_and_matrix () =
   let report = Profile.of_events attribution_events in
   let span_for txn =
-    List.find (fun s -> s.Profile.s_txn = txn) report.Profile.spans
+    List.find (fun s -> s.Obs.Spans.s_txn = txn) report.Profile.spans
   in
-  check_bool "T1 granted" true ((span_for 1).Profile.s_outcome = Profile.Granted);
+  check_bool "T1 granted" true ((span_for 1).Obs.Spans.s_outcome = Profile.Granted);
   check_bool "T3 aborted as deadlock victim" true
-    ((span_for 3).Profile.s_outcome = Profile.Aborted "deadlock");
+    ((span_for 3).Obs.Spans.s_outcome = Profile.Aborted "deadlock");
   check_bool "T2 unfinished" true
-    ((span_for 2).Profile.s_outcome = Profile.Unfinished);
+    ((span_for 2).Obs.Spans.s_outcome = Profile.Unfinished);
   (* the Txn_abort{deadlock_victim} echo must not double-count the abort *)
   Alcotest.(check (list (pair string int)))
     "abort taxonomy" [ ("deadlock", 1) ] report.Profile.aborts;
