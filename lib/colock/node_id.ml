@@ -12,13 +12,8 @@ let parent = function
 let steps node = List.rev node
 let of_steps = function [] -> None | steps -> Some (List.rev steps)
 
-let escape step =
-  if String.contains step '/' then
-    String.concat "//" (String.split_on_char '/' step)
-  else step
-
-let to_resource node = String.concat "/" (List.rev_map escape node)
-let child_resource parent_resource step = parent_resource ^ "/" ^ escape step
+let to_resource node = Obs.Resource.render (List.rev node)
+let child_resource = Obs.Resource.child
 let depth = List.length
 
 let rec is_ancestor ~ancestor node =

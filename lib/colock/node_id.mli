@@ -12,8 +12,7 @@ val database : string -> t
 (** The root node of a database's lock graph. *)
 
 val child : t -> string -> t
-(** One containment step down. Steps containing ['/'] are escaped in the
-    rendering so distinct ids never collide. *)
+(** One containment step down. Any string is a step. *)
 
 val parent : t -> t option
 (** [None] on the database node. *)
@@ -25,7 +24,9 @@ val of_steps : string list -> t option
 (** [None] on the empty list. *)
 
 val to_resource : t -> string
-(** ["db1/seg1/cells/c1"]; injective. *)
+(** ["db1/seg1/cells/c1"]: the steps in the {!Obs.Resource} codec, which
+    joins them with ['/'] and escapes a step's slashes so that the
+    rendering is injective; {!Obs.Resource.steps} inverts it. *)
 
 val child_resource : string -> string -> string
 (** [child_resource (to_resource node) step = to_resource (child node step)],

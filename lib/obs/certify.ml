@@ -120,32 +120,6 @@ type certificate = {
 
 let certified certificate = certificate.violations = []
 
-(* ---------------------------------------------------------- path algebra *)
-
-(* Resources are slash-joined node paths with a literal '/' escaped as
-   "//" (see [Colock.Node_id.to_resource]); the parent is everything
-   before the last unescaped separator. *)
-let parent_resource resource =
-  let length = String.length resource in
-  let rec scan index last =
-    if index >= length then last
-    else if resource.[index] = '/' then
-      if index + 1 < length && resource.[index + 1] = '/' then
-        scan (index + 2) last
-      else scan (index + 1) (Some index)
-    else scan (index + 1) last
-  in
-  match scan 0 None with
-  | None | Some 0 -> None
-  | Some separator -> Some (String.sub resource 0 separator)
-
-let is_strict_descendant ~ancestor resource =
-  let la = String.length ancestor and lr = String.length resource in
-  lr > la + 1
-  && String.equal (String.sub resource 0 la) ancestor
-  && resource.[la] = '/'
-  && resource.[la + 1] <> '/'
-
 (* ------------------------------------------------------------ accumulator *)
 
 (* Per-transaction attempt state.  [held] mirrors the lock table across
@@ -221,7 +195,7 @@ let holders_of certifier resource =
    4' makes legal mid-growth? *)
 let release_covered certifier state resource mode =
   let rec up resource =
-    match parent_resource resource with
+    match Resource.parent resource with
     | None -> false
     | Some parent -> (
       match Hashtbl.find_opt state.held parent with
@@ -251,7 +225,7 @@ let on_granted certifier ~seq ~time ~txn ~resource ~mode =
     holders;
   (* rules 1-4': the path parent must carry the matching intention (or a
      data mode that already covers the grant outright) *)
-  (match parent_resource resource with
+  (match Resource.parent resource with
    | None -> ()
    | Some parent ->
      let parent_mode = Hashtbl.find_opt state.held parent in
@@ -379,7 +353,7 @@ let on_escalation certifier ~seq ~time ~txn ~node ~mode ~released_children =
     List.filteri
       (fun index _ -> index < released_children)
       (List.filter
-         (fun (resource, _mode) -> is_strict_descendant ~ancestor:node resource)
+         (fun (resource, _mode) -> Resource.is_strict_descendant ~ancestor:node resource)
          state.recent_releases)
   in
   if List.length children < released_children then

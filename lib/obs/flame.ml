@@ -1,7 +1,6 @@
 (* Wait-time flamegraphs: fold blocked time along the instance-graph path.
 
-   Resources are slash-joined node paths ([Colock.Node_id.to_resource],
-   which escapes a literal '/' inside a step as "//"), so a wait span
+   Resources are node paths in the {!Resource} codec, so a wait span
    already names the chain entry point -> ... -> inner LU that the paper's
    rule 2 locked top-down. Each span becomes one stack — the path steps
    plus the requested mode as the leaf frame — weighted by its blocked
@@ -22,36 +21,6 @@ let label flame = flame.label
 let stacks flame = List.map (fun { frames; weight } -> (frames, weight)) flame.stacks
 let total flame = flame.total
 
-(* Inverse of [Node_id.escape] + join: split on single '/', un-escape
-   "//" back to a literal '/'. *)
-let path_steps resource =
-  let buffer = Buffer.create 16 in
-  let steps = ref [] in
-  let length = String.length resource in
-  let push () =
-    steps := Buffer.contents buffer :: !steps;
-    Buffer.clear buffer
-  in
-  let rec scan index =
-    if index >= length then ()
-    else if resource.[index] = '/' then
-      if index + 1 < length && resource.[index + 1] = '/' then begin
-        Buffer.add_char buffer '/';
-        scan (index + 2)
-      end
-      else begin
-        push ();
-        scan (index + 1)
-      end
-    else begin
-      Buffer.add_char buffer resource.[index];
-      scan (index + 1)
-    end
-  in
-  scan 0;
-  push ();
-  List.rev !steps
-
 (* Folded-stacks syntax reserves ';' (frame separator) and ' ' (weight
    separator); frames must not contain either. *)
 let sanitize frame =
@@ -59,7 +28,7 @@ let sanitize frame =
 
 let frames_of_span span =
   let { Spans.s_resource; s_mode; _ } = span in
-  List.map sanitize (path_steps s_resource) @ [ "mode:" ^ sanitize s_mode ]
+  List.map sanitize (Resource.steps s_resource) @ [ "mode:" ^ sanitize s_mode ]
 
 let of_spans ?label spans =
   let table = Hashtbl.create 64 in

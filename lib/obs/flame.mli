@@ -2,8 +2,8 @@
     path.
 
     Every {!Profile} wait span becomes one stack — the resource's
-    slash-separated node path (entry point down to the inner lockable
-    unit, un-escaping the "//" produced by [Node_id.escape]) plus a final
+    node path, split by {!Resource.steps} (entry point down to the inner
+    lockable unit), plus a final
     [mode:<M>] frame — weighted by the span's blocked duration; equal
     stacks merge. {!print} emits folded-stacks text ([frame;frame;... N]
     per line, stacks sorted), the input format of flamegraph.pl, so
@@ -19,10 +19,6 @@ val stacks : t -> (string list * float) list
 val total : t -> float
 (** Total blocked time over all spans — equals
     [Profile.total_blocked]. *)
-
-val path_steps : string -> string list
-(** Splits a resource name back into node steps (inverse of the escaping
-    join in [Node_id.to_resource]). *)
 
 val of_spans : ?label:string -> Profile.span list -> t
 val of_report : Profile.report -> t
