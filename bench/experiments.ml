@@ -40,7 +40,7 @@ let fig1_env ?(rule = Protocol.Rule_4_prime) ?(library_writable = false)
   let protocol = Protocol.create ~rule ~rights graph table in
   { db; graph; table; rights; protocol }
 
-let node steps = Option.get (Node_id.of_steps steps)
+let node graph steps = Graph.node_exn graph (Option.get (Node_id.of_steps steps))
 
 (* ------------------------------------------------------------------- E1 *)
 
@@ -60,12 +60,12 @@ let e1_object_graphs () =
 let e2_units () =
   Tables.note "\n=== E2: units and superunits of cell c1 (paper Figure 6) ===";
   let env = fig1_env () in
-  let e1 = node [ "db1"; "seg2"; "effectors"; "e1" ] in
+  let e1 = node env.graph [ "db1"; "seg2"; "effectors"; "e1" ] in
   Tables.note "inner unit \"effector e1\":";
   Format.printf "%a@." (Colock.Units.pp_unit env.graph) e1;
   Tables.note "\nsuperunit parents of entry point e1 (upward propagation set):";
   List.iter
-    (fun parent -> Printf.printf "  %s\n" (Node_id.to_resource parent))
+    (fun parent -> Printf.printf "  %s\n" (Graph.resource env.graph parent))
     (Colock.Units.superunit_parents env.graph ~root:e1);
   let outer = Colock.Units.unit_members env.graph ~root:(Graph.root env.graph) in
   Printf.printf
@@ -73,7 +73,7 @@ let e2_units () =
     (List.length outer)
     (List.length
        (List.filter
-          (fun entry -> Colock.Units.is_entry_point env.graph entry)
+          (fun (entry : Graph.node) -> entry.entry_point)
           (List.filter_map
              (fun key ->
                Graph.object_node env.graph (Oid.make ~relation:"effectors" ~key))
@@ -166,7 +166,7 @@ let e5_shared_exclusive_cost () =
         let protocol = Protocol.create graph table in
         let e1 = Oid.make ~relation:"effectors" ~key:"e1" in
         let entry = Option.get (Graph.object_node graph e1) in
-        let proposed_plan = Protocol.plan protocol ~txn:1 entry Mode.X in
+        let proposed_plan = Protocol.plan_node protocol ~txn:1 entry Mode.X in
         let naive_plan =
           Baselines.Sysr_dag.plan_exclusive_all_parents graph ~oid:e1
         in
@@ -191,8 +191,8 @@ let e6_from_the_side () =
     "\n=== E6: from-the-side access to common data (paper 3.2.2, problem 2) ===";
   let run_naive () =
     let env = fig1_env ~library_writable:true () in
-    let r1 = node [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r1" ] in
-    let r2 = node [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r2" ] in
+    let r1 = node env.graph [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r1" ] in
+    let r2 = node env.graph [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r2" ] in
     List.iteri
       (fun index robot ->
         match
@@ -207,8 +207,8 @@ let e6_from_the_side () =
   in
   let run_proposed rule library_writable =
     let env = fig1_env ~rule ~library_writable () in
-    let r1 = node [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r1" ] in
-    let r2 = node [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r2" ] in
+    let r1 = node env.graph [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r1" ] in
+    let r2 = node env.graph [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r2" ] in
     let acquired =
       List.filter
         (fun (txn, robot) ->
@@ -330,8 +330,8 @@ let e8_escalation_anticipation () =
            threshold *)
         let naive = fig1_env ~c_objects:members () in
         let c1 = Option.get (Graph.object_node naive.graph (Oid.make ~relation:"cells" ~key:"c1")) in
-        let holu = Node_id.child c1 "c_objects" in
-        let member_nodes = (Graph.node_exn naive.graph holu).Graph.children in
+        let holu = Option.get (Graph.member_node naive.graph c1 "c_objects") in
+        let member_nodes = Graph.children naive.graph holu in
         List.iter
           (fun member ->
             match Protocol.acquire naive.protocol ~txn:1 member Mode.S with
@@ -369,18 +369,19 @@ let random_leaf_member state graph ~depth asm_key =
     Option.get
       (Graph.object_node graph (Oid.make ~relation:"assemblies" ~key:asm_key))
   in
-  let rec descend node_id remaining =
-    if remaining = 0 then node_id
+  let rec descend node remaining =
+    if remaining = 0 then node
     else
       let holu =
-        if remaining = depth then Node_id.child node_id "tree"
-        else Node_id.child node_id "children"
+        Option.get
+          (Graph.member_node graph node
+             (if remaining = depth then "tree" else "children"))
       in
-      let members = (Graph.node_exn graph holu).Graph.children in
+      let members = Graph.children graph holu in
       let pick = List.nth members (Random.State.int state (List.length members)) in
       descend pick (remaining - 1)
   in
-  descend asm_node depth
+  Graph.id graph (descend asm_node depth)
 
 let e9_scaling_claim () =
   Tables.note
@@ -557,11 +558,11 @@ let e10_disjoint_overhead () =
   let table = Table.create () in
   let protocol = Protocol.create graph table in
   let a1 = Option.get (Graph.object_node graph (Oid.make ~relation:"assemblies" ~key:"a1")) in
-  let proposed_plan = Protocol.plan protocol ~txn:1 a1 Mode.X in
+  let proposed_plan = Protocol.plan_node protocol ~txn:1 a1 Mode.X in
   let system_r_plan = Baselines.Technique.with_ancestors graph a1 Mode.X in
   let env = fig1_env () in
-  let r1 = node [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r1" ] in
-  let non_disjoint_plan = Protocol.plan env.protocol ~txn:1 r1 Mode.X in
+  let r1 = node env.graph [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r1" ] in
+  let non_disjoint_plan = Protocol.plan_node env.protocol ~txn:1 r1 Mode.X in
   Tables.print ~title:"E10: lock requests for an exclusive object access"
     ~header:[ "scenario"; "proposed"; "System R DAG" ]
     [ [ Tables.Text "disjoint assembly (X on object)";
@@ -596,10 +597,10 @@ let e11_qualitative_matrix () =
   in
   let to_requests steps = List.map Baselines.Technique.of_step steps in
   let proposed_plans env c1 =
-    let c_objects = Node_id.child (Option.get (Graph.object_node env.graph c1)) "c_objects" in
-    let r1 = node [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r1" ] in
-    ( to_requests (Protocol.plan env.protocol ~txn:1 c_objects Mode.S),
-      to_requests (Protocol.plan env.protocol ~txn:2 r1 Mode.X) )
+    let c_objects = Option.get (Graph.member_node env.graph (Option.get (Graph.object_node env.graph c1)) "c_objects") in
+    let r1 = node env.graph [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r1" ] in
+    ( to_requests (Protocol.plan_node env.protocol ~txn:1 c_objects Mode.S),
+      to_requests (Protocol.plan_node env.protocol ~txn:2 r1 Mode.X) )
   in
   let whole_plans env c1 =
     ( Baselines.Whole_object.plan env.graph ~oid:c1 Mode.S,
@@ -615,9 +616,9 @@ let e11_qualitative_matrix () =
   let q1_locks technique =
     let env = fig1_env ~c_objects:100 () in
     let c1 = Oid.make ~relation:"cells" ~key:"c1" in
-    let c_objects = Node_id.child (Option.get (Graph.object_node env.graph c1)) "c_objects" in
+    let c_objects = Option.get (Graph.member_node env.graph (Option.get (Graph.object_node env.graph c1)) "c_objects") in
     match technique with
-    | `Proposed -> List.length (Protocol.plan env.protocol ~txn:1 c_objects Mode.S)
+    | `Proposed -> List.length (Protocol.plan_node env.protocol ~txn:1 c_objects Mode.S)
     | `Whole -> List.length (Baselines.Whole_object.plan env.graph ~oid:c1 Mode.S)
     | `Tuple ->
       List.length
@@ -634,7 +635,7 @@ let e11_qualitative_matrix () =
       let table = Table.create () in
       let protocol = Protocol.create graph table in
       let entry = Option.get (Graph.object_node graph e1) in
-      List.length (Protocol.plan protocol ~txn:1 entry Mode.X)
+      List.length (Protocol.plan_node protocol ~txn:1 entry Mode.X)
     | `Naive ->
       List.length (Baselines.Sysr_dag.plan_exclusive_all_parents graph ~oid:e1)
   in
@@ -676,7 +677,7 @@ let e12_nested_common_data () =
         let protocol = Protocol.create ~rule:Protocol.Rule_4 graph table in
         let prod1 = Oid.make ~relation:"products" ~key:"prod1" in
         let product = Option.get (Graph.object_node graph prod1) in
-        let plan = Protocol.plan protocol ~txn:1 product Mode.X in
+        let plan = Protocol.plan_node protocol ~txn:1 product Mode.X in
         let entry_locks =
           List.length
             (List.filter
@@ -688,7 +689,7 @@ let e12_nested_common_data () =
         let deepest = Oid.make ~relation:(Printf.sprintf "lib%d" levels)
             ~key:(Printf.sprintf "lib%d_1" levels) in
         let deepest_node = Option.get (Graph.object_node graph deepest) in
-        let proposed_deep = Protocol.plan protocol ~txn:1 deepest_node Mode.X in
+        let proposed_deep = Protocol.plan_node protocol ~txn:1 deepest_node Mode.X in
         let naive_deep =
           Baselines.Sysr_dag.plan_exclusive_all_parents graph ~oid:deepest
         in
@@ -717,9 +718,9 @@ let e13_deescalation () =
      r1; a reader wants the c_objects.";
   let run ~deescalate =
     let env = fig1_env ~library_writable:true () in
-    let c1 = node [ "db1"; "seg1"; "cells"; "c1" ] in
-    let r1 = node [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r1" ] in
-    let c_objects = node [ "db1"; "seg1"; "cells"; "c1"; "c_objects" ] in
+    let c1 = node env.graph [ "db1"; "seg1"; "cells"; "c1" ] in
+    let r1 = node env.graph [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r1" ] in
+    let c_objects = node env.graph [ "db1"; "seg1"; "cells"; "c1"; "c_objects" ] in
     (match Protocol.acquire env.protocol ~wait:false ~txn:1 c1 Mode.X with
      | Protocol.Acquired _ -> ()
      | Protocol.Blocked _ -> invalid_arg "uncontended");

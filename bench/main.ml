@@ -30,8 +30,8 @@ let fig1_graph = Graph.build fig1_db
 let shared32_graph = Graph.build (Workload.Generator.shared_effector ~robots:32)
 
 let robot_r1 =
-  Option.get
-    (Node_id.of_steps [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r1" ])
+  Graph.node_exn fig1_graph
+    (Option.get (Node_id.of_steps [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r1" ]))
 
 let shared_e1 =
   Option.get (Graph.object_node shared32_graph (Oid.make ~relation:"effectors" ~key:"e1"))
@@ -70,7 +70,7 @@ let bench_e4_plan_proposed =
   let protocol = Protocol.create fig1_graph table in
   Test.make ~name:"E4 plan proposed (robot X)"
     (Staged.stage (fun () ->
-         Sys.opaque_identity (Protocol.plan protocol ~txn:1 robot_r1 Mode.X)))
+         Sys.opaque_identity (Protocol.plan_node protocol ~txn:1 robot_r1 Mode.X)))
 
 let bench_e4_plan_whole_object =
   Test.make ~name:"E4 plan whole-object (cell X)"
@@ -92,7 +92,7 @@ let bench_e5_shared_proposed =
   let protocol = Protocol.create shared32_graph table in
   Test.make ~name:"E5 plan X shared effector, proposed (k=32)"
     (Staged.stage (fun () ->
-         Sys.opaque_identity (Protocol.plan protocol ~txn:1 shared_e1 Mode.X)))
+         Sys.opaque_identity (Protocol.plan_node protocol ~txn:1 shared_e1 Mode.X)))
 
 let bench_e5_shared_all_parents =
   Test.make ~name:"E5 plan X shared effector, naive DAG (k=32)"
@@ -115,15 +115,15 @@ let bench_e5_cell_plans =
       Test.make
         ~name:(Printf.sprintf "E5 plan S cell c1, proposed (k=%d)" robots)
         (Staged.stage (fun () ->
-             Sys.opaque_identity (Protocol.plan protocol ~txn:1 c1 Mode.S))))
+             Sys.opaque_identity (Protocol.plan_node protocol ~txn:1 c1 Mode.S))))
     [ 1; 32; 256 ]
 
 (* E6: the hidden-conflict audit. *)
 let bench_e6_hidden_conflict_audit =
   let table = Table.create () in
   let r2 =
-    Option.get
-      (Node_id.of_steps [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r2" ])
+    Graph.node_exn fig1_graph
+      (Option.get (Node_id.of_steps [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r2" ]))
   in
   (match
      Baselines.Technique.acquire table ~txn:1

@@ -19,7 +19,7 @@ let () =
   let protocol = Colock.Protocol.create graph table in
   let blocking = Txn.Blocking.create protocol in
 
-  let node steps = Option.get (Node_id.of_steps steps) in
+  let node steps = Colock.Instance_graph.node_exn graph (Option.get (Node_id.of_steps steps)) in
   let r1 = node [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r1" ] in
   let r2 = node [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r2" ] in
   let c_objects = node [ "db1"; "seg1"; "cells"; "c1"; "c_objects" ] in

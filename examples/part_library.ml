@@ -30,7 +30,7 @@ let () =
   Authz.Rights.revoke_modify rights ~txn:engineer_2.Txn.Transaction.id
     ~relation:"effectors";
 
-  let node steps = Option.get (Node_id.of_steps steps) in
+  let node steps = Colock.Instance_graph.node_exn graph (Option.get (Node_id.of_steps steps)) in
   let r1 = node [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r1" ] in
   let r2 = node [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r2" ] in
   let e2 = node [ "db1"; "seg2"; "effectors"; "e2" ] in

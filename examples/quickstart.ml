@@ -43,7 +43,7 @@ let () =
       List.iter
         (fun row ->
           Format.printf "     %s = %a@."
-            (Colock.Node_id.to_resource row.Query.Executor.node)
+            (Colock.Instance_graph.resource graph row.Query.Executor.node)
             Nf2.Value.pp row.Query.Executor.value)
         result.Query.Executor.rows
     | Error error ->

@@ -16,10 +16,10 @@ let plan_exclusive_all_parents graph ~oid =
         (Graph.referencers graph oid)
     in
     let own_chain = Technique.with_ancestors graph node Mode.X in
-    Technique.merge (referencing_chains @ own_chain)
+    Technique.merge graph (referencing_chains @ own_chain)
 
 let plan_hierarchical_naive graph node mode =
-  Technique.with_ancestors graph node mode
+  Technique.merge graph (Technique.with_ancestors graph node mode)
 
 type hidden_conflict = {
   at : Node_id.t;
@@ -27,20 +27,11 @@ type hidden_conflict = {
   other : Table.txn_id;
 }
 
-let resource_index graph =
-  let index = Hashtbl.create 256 in
-  Graph.fold
-    (fun node () ->
-      Hashtbl.replace index
-        (Node_id.to_resource node.Graph.id)
-        node.Graph.id)
-    graph ();
-  index
-
-(* DAG-effective coverage of one transaction: explicit data locks flow down
-   solid edges and across dashed references (the transaction *believes* the
-   referenced common data are implicitly locked). *)
-let coverage ?rights graph table ~index ~txn =
+(* DAG-effective coverage of one transaction, by dense id: explicit data
+   locks flow down solid edges and across dashed references (the
+   transaction *believes* the referenced common data are implicitly
+   locked). *)
+let coverage ?rights graph table ~txn =
   let covered = Hashtbl.create 64 in
   let weaken mode target_relation =
     match rights, mode with
@@ -50,33 +41,30 @@ let coverage ?rights graph table ~index ~txn =
       else Mode.S
     | (None | Some _), _ -> mode
   in
-  let record node_id mode =
-    let key = Node_id.to_resource node_id in
+  let record (node : Graph.node) mode =
     let merged =
-      match Hashtbl.find_opt covered key with
+      match Hashtbl.find_opt covered node.index with
       | Some (previous, _node) -> Mode.sup previous mode
       | None -> mode
     in
-    Hashtbl.replace covered key (merged, node_id)
+    Hashtbl.replace covered node.index (merged, node)
   in
-  let rec spread node_id mode =
-    record node_id mode;
-    let node = Graph.node_exn graph node_id in
-    List.iter (fun child -> spread child mode) node.Graph.children;
+  let rec spread (node : Graph.node) mode =
+    record node mode;
+    List.iter (fun child -> spread child mode) (Graph.children graph node);
     List.iter
       (fun ref_oid ->
         match Graph.object_node graph ref_oid with
         | Some target ->
           let target_mode = weaken mode (Nf2.Oid.relation ref_oid) in
-          let key = Node_id.to_resource target in
           let already =
-            match Hashtbl.find_opt covered key with
+            match Hashtbl.find_opt covered target.index with
             | Some (previous, _node) -> Mode.leq target_mode previous
             | None -> false
           in
           if not already then spread target target_mode
         | None -> ())
-      node.Graph.refs_out
+      node.refs_out
   in
   List.iter
     (fun (resource, mode, _duration) ->
@@ -88,32 +76,34 @@ let coverage ?rights graph table ~index ~txn =
       in
       match data_mode with
       | Some data_mode -> (
-        match Hashtbl.find_opt index resource with
-        | Some node_id -> spread node_id data_mode
+        match Graph.node_of_resource graph resource with
+        | Some node -> spread node data_mode
         | None -> ())
       | None -> ())
     (Table.locks_of table ~txn);
   covered
 
 let hidden_conflicts ?rights graph table ~txns =
-  let index = resource_index graph in
   let coverages =
-    List.map (fun txn -> (txn, coverage ?rights graph table ~index ~txn)) txns
+    List.map (fun txn -> (txn, coverage ?rights graph table ~txn)) txns
   in
   let conflicts = ref [] in
+  let conflict node writer other =
+    conflicts := { at = Graph.id graph node; writer; other } :: !conflicts
+  in
   let rec pairs = function
     | [] -> ()
     | (txn_a, coverage_a) :: rest ->
       List.iter
         (fun (txn_b, coverage_b) ->
           Hashtbl.iter
-            (fun key (mode_a, node_id) ->
-              match Hashtbl.find_opt coverage_b key with
+            (fun index (mode_a, node) ->
+              match Hashtbl.find_opt coverage_b index with
               | Some (mode_b, _node) ->
                 if Mode.grants_write mode_a && Mode.grants_read mode_b then
-                  conflicts := { at = node_id; writer = txn_a; other = txn_b } :: !conflicts
+                  conflict node txn_a txn_b
                 else if Mode.grants_write mode_b && Mode.grants_read mode_a then
-                  conflicts := { at = node_id; writer = txn_b; other = txn_a } :: !conflicts
+                  conflict node txn_b txn_a
               | None -> ())
             coverage_a)
         rest;

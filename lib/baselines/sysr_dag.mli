@@ -26,7 +26,7 @@ val plan_exclusive_all_parents :
     object's own parent chain; then X on the object. *)
 
 val plan_hierarchical_naive :
-  Colock.Instance_graph.t -> Colock.Node_id.t -> Lockmgr.Lock_mode.t ->
+  Colock.Instance_graph.t -> Colock.Instance_graph.node -> Lockmgr.Lock_mode.t ->
   Technique.request list
 (** Intentions along the solid ancestor chain, the mode on the node — and no
     propagation whatsoever. *)

@@ -25,28 +25,29 @@ let acquire table ~txn ?wait requests =
   walk 0 requests
 
 let with_ancestors graph node mode =
-  let target = Graph.node_exn graph node in
   let intention = Mode.intention_for mode in
   List.map
-    (fun (ancestor : Graph.node) ->
-      { node = ancestor.id; mode = intention; resource = ancestor.resource })
-    (Graph.ancestor_nodes graph target)
-  @ [ { node; mode; resource = target.resource } ]
+    (fun ancestor -> (ancestor, intention))
+    (Graph.ancestor_nodes graph node)
+  @ [ (node, mode) ]
 
-let merge requests =
+let merge graph locks =
   let seen = Hashtbl.create 32 in
   let order = ref [] in
   List.iter
-    (fun request ->
-      match Hashtbl.find_opt seen request.resource with
-      | Some cell ->
-        cell := { request with mode = Mode.sup !cell.mode request.mode }
+    (fun ((node : Graph.node), mode) ->
+      match Hashtbl.find_opt seen node.index with
+      | Some cell -> cell := (node, Mode.sup (snd !cell) mode)
       | None ->
-        let cell = ref request in
-        Hashtbl.replace seen request.resource cell;
+        let cell = ref (node, mode) in
+        Hashtbl.replace seen node.index cell;
         order := cell :: !order)
-    requests;
-  List.rev_map (fun cell -> !cell) !order
+    locks;
+  List.rev_map
+    (fun cell ->
+      let node, mode = !cell in
+      { node = Graph.id graph node; mode; resource = Graph.resource graph node })
+    !order
 
 let pp_request formatter { node; mode; _ } =
   Format.fprintf formatter "%a: %a" Node_id.pp node Mode.pp mode

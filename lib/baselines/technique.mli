@@ -6,8 +6,7 @@ type request = {
   node : Colock.Node_id.t;
   mode : Lockmgr.Lock_mode.t;
   resource : string;
-      (** the lock-table key: the node's stored
-          {!Colock.Instance_graph.node.resource} *)
+      (** the lock-table key: the node's {!Colock.Instance_graph.resource} *)
 }
 
 val of_step : Colock.Protocol.step -> request
@@ -28,13 +27,16 @@ val acquire :
     transaction queued on the failing node; otherwise nothing is queued. *)
 
 val with_ancestors :
-  Colock.Instance_graph.t -> Colock.Node_id.t -> Lockmgr.Lock_mode.t ->
-  request list
+  Colock.Instance_graph.t -> Colock.Instance_graph.node ->
+  Lockmgr.Lock_mode.t -> (Colock.Instance_graph.node * Lockmgr.Lock_mode.t) list
 (** The System R chain: intention locks on all ancestors (root first), then
     the node in the given mode. *)
 
-val merge : request list -> request list
-(** Deduplicates by node, merging modes with the supremum, keeping first
-    positions (parents stay before children). *)
+val merge :
+  Colock.Instance_graph.t ->
+  (Colock.Instance_graph.node * Lockmgr.Lock_mode.t) list -> request list
+(** Deduplicates by node (dense id), merging modes with the supremum and
+    keeping first positions (parents stay before children), and renders
+    each lock as a request. *)
 
 val pp_request : Format.formatter -> request -> unit

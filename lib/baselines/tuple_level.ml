@@ -1,46 +1,36 @@
 module Graph = Colock.Instance_graph
-module Node_id = Colock.Node_id
 
-let rec has_helu_descendant graph node_id =
-  let node = Graph.node_exn graph node_id in
+let rec has_helu_descendant graph (node : Graph.node) =
   List.exists
-    (fun child ->
-      let child_node = Graph.node_exn graph child in
-      (match child_node.Graph.kind with
+    (fun (child : Graph.node) ->
+      (match child.kind with
        | Colock.Lockable.Helu -> true
        | Colock.Lockable.Holu | Colock.Lockable.Blu -> false)
       || has_helu_descendant graph child)
-    node.Graph.children
+    (Graph.children graph node)
 
 let leaf_tuples graph root =
-  let rec walk accu node_id =
-    let node = Graph.node_exn graph node_id in
-    match node.Graph.kind with
+  (* BLU children are leaves of their own; tuples and collections recurse *)
+  let rec members accu node =
+    List.fold_left
+      (fun accu (child : Graph.node) ->
+        match child.kind with
+        | Colock.Lockable.Blu -> child :: accu
+        | Colock.Lockable.Helu | Colock.Lockable.Holu -> walk accu child)
+      accu (Graph.children graph node)
+  and walk accu (node : Graph.node) =
+    match node.kind with
     | Colock.Lockable.Helu ->
-      if has_helu_descendant graph node_id then
-        List.fold_left
-          (fun accu child ->
-            let child_node = Graph.node_exn graph child in
-            match child_node.Graph.kind with
-            | Colock.Lockable.Blu -> child :: accu
-            | Colock.Lockable.Helu | Colock.Lockable.Holu -> walk accu child)
-          accu node.Graph.children
-      else node_id :: accu
-    | Colock.Lockable.Holu ->
-      List.fold_left
-        (fun accu child ->
-          let child_node = Graph.node_exn graph child in
-          match child_node.Graph.kind with
-          | Colock.Lockable.Blu -> child :: accu
-          | Colock.Lockable.Helu | Colock.Lockable.Holu -> walk accu child)
-        accu node.Graph.children
-    | Colock.Lockable.Blu -> node_id :: accu
+      if has_helu_descendant graph node then members accu node
+      else node :: accu
+    | Colock.Lockable.Holu -> members accu node
+    | Colock.Lockable.Blu -> node :: accu
   in
   List.rev (walk [] root)
 
 let plan_roots graph roots mode =
   let seen_objects = Hashtbl.create 16 in
-  let rec requests_for roots =
+  let rec locks_for roots =
     let leaves = List.concat_map (leaf_tuples graph) roots in
     let own =
       List.concat_map
@@ -51,25 +41,22 @@ let plan_roots graph roots mode =
       List.concat_map (Graph.subtree_refs graph) roots
       |> List.sort_uniq Nf2.Oid.compare
       |> List.filter_map (fun ref_oid ->
-             let key = Nf2.Oid.to_string ref_oid in
-             if Hashtbl.mem seen_objects key then None
+             if Hashtbl.mem seen_objects ref_oid then None
              else begin
-               Hashtbl.replace seen_objects key ();
+               Hashtbl.replace seen_objects ref_oid ();
                Graph.object_node graph ref_oid
              end)
     in
     match referenced with
     | [] -> own
-    | _ :: _ -> own @ requests_for referenced
+    | _ :: _ -> own @ locks_for referenced
   in
-  Technique.merge (requests_for roots)
+  Technique.merge graph (locks_for roots)
 
 let plan_node graph node mode = plan_roots graph [ node ] mode
 
 let plan graph ~oid ?(target = Nf2.Path.root) mode =
-  match Graph.object_node graph oid with
-  | None -> []
-  | Some _object_node -> plan_roots graph (Graph.nodes_at_path graph oid target) mode
+  plan_roots graph (Graph.nodes_at_path graph oid target) mode
 
 let lock_count graph ~oid ?target mode =
   List.length (plan graph ~oid ?target mode)

@@ -7,14 +7,15 @@
     to (the common data are locked at tuple level too). *)
 
 val leaf_tuples :
-  Colock.Instance_graph.t -> Colock.Node_id.t -> Colock.Node_id.t list
+  Colock.Instance_graph.t -> Colock.Instance_graph.node ->
+  Colock.Instance_graph.node list
 (** The leaf tuples of the subtree: HeLU nodes without HeLU descendants, plus
     BLUs not covered by any leaf tuple (attributes of interior tuples,
     members of collections of atomics). For a flat tuple node the node
     itself. *)
 
 val plan_node :
-  Colock.Instance_graph.t -> Colock.Node_id.t -> Lockmgr.Lock_mode.t ->
+  Colock.Instance_graph.t -> Colock.Instance_graph.node -> Lockmgr.Lock_mode.t ->
   Technique.request list
 (** Locks every leaf tuple under the given instance node (intention chains
     above), then chases references out of the subtree and locks the

@@ -7,10 +7,9 @@ let plan graph ~oid mode =
     (* Closure over referenced complex objects, depth-first, deduplicated. *)
     let seen = Hashtbl.create 16 in
     let order = ref [] in
-    let rec visit node =
-      let key = Colock.Node_id.to_resource node in
-      if not (Hashtbl.mem seen key) then begin
-        Hashtbl.replace seen key ();
+    let rec visit (node : Graph.node) =
+      if not (Hashtbl.mem seen node.index) then begin
+        Hashtbl.replace seen node.index ();
         order := node :: !order;
         List.iter
           (fun ref_oid ->
@@ -22,7 +21,7 @@ let plan graph ~oid mode =
     in
     visit root;
     let objects = List.rev !order in
-    Technique.merge
+    Technique.merge graph
       (List.concat_map
          (fun node -> Technique.with_ancestors graph node mode)
          objects)

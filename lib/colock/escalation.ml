@@ -14,17 +14,15 @@ type escalation_result =
 let child_locks protocol ~txn ~parent =
   let graph = Protocol.graph protocol in
   let table = Protocol.table protocol in
-  match Instance_graph.node graph parent with
-  | None -> []
-  | Some node ->
-    List.filter_map
-      (fun child ->
-        match
-          Lock_table.held table ~txn ~resource:(Node_id.to_resource child)
-        with
-        | Lock_mode.NL -> None
-        | held -> Some (child, held))
-      node.Instance_graph.children
+  List.filter_map
+    (fun child ->
+      match
+        Lock_table.held table ~txn
+          ~resource:(Instance_graph.resource graph child)
+      with
+      | Lock_mode.NL -> None
+      | held -> Some (child, held))
+    (Instance_graph.children graph parent)
 
 let maybe_escalate protocol ~txn ~threshold ~parent =
   let children = child_locks protocol ~txn ~parent in
@@ -53,13 +51,15 @@ let maybe_escalate protocol ~txn ~threshold ~parent =
         children;
       let stats = Lock_table.stats (Protocol.table protocol) in
       stats.Lock_stats.escalations <- stats.Lock_stats.escalations + 1;
+      let graph = Protocol.graph protocol in
       Protocol.emit protocol
         (Obs.Event.Escalation
-           { txn; node = Node_id.to_resource parent;
+           { txn; node = Instance_graph.resource graph parent;
              mode = Lock_mode.to_string data_mode;
              released_children = List.length children });
       Escalated
-        { parent; mode = data_mode; released_children = List.length children }
+        { parent = Instance_graph.id graph parent; mode = data_mode;
+          released_children = List.length children }
   end
 
 let deescalate protocol ~txn node ~keep =
@@ -74,18 +74,13 @@ let deescalate protocol ~txn node ~keep =
   match acquire_keep keep with
   | Error blocked -> Error blocked
   | Ok () ->
-    let held =
-      Lock_table.held table ~txn ~resource:(Node_id.to_resource node)
-    in
+    let resource = Instance_graph.resource (Protocol.graph protocol) node in
+    let held = Lock_table.held table ~txn ~resource in
     let weakened = Lock_mode.intention_for held in
-    let grants =
-      Lock_table.downgrade table ~txn ~resource:(Node_id.to_resource node)
-        weakened
-    in
+    let grants = Lock_table.downgrade table ~txn ~resource weakened in
     let stats = Lock_table.stats table in
     stats.Lock_stats.deescalations <- stats.Lock_stats.deescalations + 1;
     Protocol.emit protocol
       (Obs.Event.Deescalation
-         { txn; node = Node_id.to_resource node;
-           mode = Lock_mode.to_string weakened });
+         { txn; node = resource; mode = Lock_mode.to_string weakened });
     Ok grants

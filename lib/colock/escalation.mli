@@ -17,14 +17,14 @@ type escalation_result =
   | Not_needed
 
 val child_locks :
-  Protocol.t -> txn:Lockmgr.Lock_table.txn_id -> parent:Node_id.t ->
-  (Node_id.t * Lockmgr.Lock_mode.t) list
+  Protocol.t -> txn:Lockmgr.Lock_table.txn_id -> parent:Instance_graph.node ->
+  (Instance_graph.node * Lockmgr.Lock_mode.t) list
 (** Direct children of [parent] on which the transaction holds explicit
     locks. *)
 
 val maybe_escalate :
   Protocol.t -> txn:Lockmgr.Lock_table.txn_id -> threshold:int ->
-  parent:Node_id.t -> escalation_result
+  parent:Instance_graph.node -> escalation_result
 (** When the transaction holds more than [threshold] explicit child locks
     under [parent], trades them for one lock on [parent] in the supremum of
     the children's data modes (S if only S children, X as soon as one child
@@ -32,8 +32,8 @@ val maybe_escalate :
     the lock table's statistics. *)
 
 val deescalate :
-  Protocol.t -> txn:Lockmgr.Lock_table.txn_id -> Node_id.t ->
-  keep:(Node_id.t * Lockmgr.Lock_mode.t) list ->
+  Protocol.t -> txn:Lockmgr.Lock_table.txn_id -> Instance_graph.node ->
+  keep:(Instance_graph.node * Lockmgr.Lock_mode.t) list ->
   (Lockmgr.Lock_table.grant list, Protocol.outcome) result
 (** Future-work extension: replaces a coarse data lock on the node by
     explicit locks on the [keep] descendants, then downgrades the node to the

@@ -86,10 +86,11 @@ module Plan_builder = struct
       Hashtbl.replace builder.positions node.index cell;
       builder.order <- cell :: builder.order
 
-  let finish builder =
+  let finish graph builder =
     List.rev_map
       (fun { node; mode; reason } ->
-        { node = node.id; mode; reason; resource = node.resource })
+        { node = Instance_graph.id graph node; mode; reason;
+          resource = Instance_graph.resource graph node })
       builder.order
 end
 
@@ -159,9 +160,8 @@ let add_downward_propagation protocol ~txn builder node mode =
     propagate_from node data_mode
   end
 
-let plan protocol ~txn ?(follow_references = true) node mode =
+let plan_node protocol ~txn ?(follow_references = true) target mode =
   let graph = protocol.graph in
-  let target = Instance_graph.node_exn graph node in
   let builder = Plan_builder.create () in
   add_chain builder
     (Instance_graph.ancestor_nodes graph target)
@@ -169,10 +169,10 @@ let plan protocol ~txn ?(follow_references = true) node mode =
   Plan_builder.add builder target mode Requested;
   if follow_references then
     add_downward_propagation protocol ~txn builder target mode;
-  let steps = Plan_builder.finish builder in
+  let steps = Plan_builder.finish graph builder in
   Log.debug (fun log ->
       log "T%d plan for %s %s: %d step(s)%s" txn (Lock_mode.to_string mode)
-        target.resource (List.length steps)
+        (Instance_graph.resource graph target) (List.length steps)
         (let propagated =
            List.length
              (List.filter
@@ -182,6 +182,10 @@ let plan protocol ~txn ?(follow_references = true) node mode =
          if propagated = 0 then ""
          else Printf.sprintf " (%d propagated entry point(s))" propagated));
   steps
+
+let plan protocol ~txn ?follow_references node mode =
+  plan_node protocol ~txn ?follow_references
+    (Instance_graph.node_exn protocol.graph node) mode
 
 type outcome =
   | Acquired of step list
@@ -207,12 +211,13 @@ let run_plan protocol ~txn ?wait ?duration steps =
 
 let acquire protocol ~txn ?wait ?duration ?follow_references node mode =
   run_plan protocol ~txn ?wait ?duration
-    (plan protocol ~txn ?follow_references node mode)
+    (plan_node protocol ~txn ?follow_references node mode)
 
-let explicit_mode protocol ~txn (node : Instance_graph.node) =
-  Lock_table.held protocol.table ~txn ~resource:node.resource
+let explicit_mode protocol ~txn node =
+  Lock_table.held protocol.table ~txn
+    ~resource:(Instance_graph.resource protocol.graph node)
 
-let effective_mode_of protocol ~txn node =
+let effective_mode protocol ~txn node =
   let explicit = explicit_mode protocol ~txn node in
   let implicit =
     List.fold_left
@@ -226,11 +231,7 @@ let effective_mode_of protocol ~txn node =
   in
   Lock_mode.sup explicit implicit
 
-let effective_mode protocol ~txn node =
-  effective_mode_of protocol ~txn (Instance_graph.node_exn protocol.graph node)
-
 type protocol_violation =
-  | Unknown_node of Node_id.t
   | Parent_not_locked of {
       node : Node_id.t;
       parent : Node_id.t;
@@ -240,8 +241,6 @@ type protocol_violation =
   | Entry_point_not_reached of { entry : Node_id.t; needed : Lock_mode.t }
 
 let pp_protocol_violation formatter = function
-  | Unknown_node node ->
-    Format.fprintf formatter "unknown node %a" Node_id.pp node
   | Parent_not_locked { node; parent; needed; held } ->
     Format.fprintf formatter
       "parent %a of %a holds %a, but %a (or more restrictive) is required"
@@ -251,58 +250,57 @@ let pp_protocol_violation formatter = function
       "no referencing node of entry point %a is %a-locked" Node_id.pp entry
       Lock_mode.pp needed
 
-let request_explicit protocol ~txn ?duration node mode =
+let request_explicit protocol ~txn ?duration current mode =
   let graph = protocol.graph in
-  match Instance_graph.node graph node with
-  | None -> Error (Unknown_node node)
-  | Some current -> (
-    let needed = Lock_mode.intention_for mode in
-    let parent_ok parent =
-      Lock_mode.leq needed (effective_mode_of protocol ~txn parent)
-    in
-    let precondition =
-      match Instance_graph.parent_node graph current with
-      | None -> Ok ()  (* root of the outer unit: no locks needed *)
-      | Some parent ->
-        if current.entry_point then
-          (* Reached either via a locked referencing node (the manager then
-             performs upward propagation) or directly through its locked
-             parent relation. *)
-          let via_reference =
-            match current.oid with
-            | Some oid ->
-              List.exists
-                (fun referencer ->
-                  parent_ok (Instance_graph.node_exn graph referencer))
-                (Instance_graph.referencers graph oid)
-            | None -> false
-          in
-          if via_reference || parent_ok parent then Ok ()
-          else Error (Entry_point_not_reached { entry = node; needed })
-        else if parent_ok parent then Ok ()
+  let needed = Lock_mode.intention_for mode in
+  let parent_ok parent =
+    Lock_mode.leq needed (effective_mode protocol ~txn parent)
+  in
+  let precondition =
+    match Instance_graph.parent_node graph current with
+    | None -> Ok ()  (* root of the outer unit: no locks needed *)
+    | Some parent ->
+      if current.entry_point then
+        (* Reached either via a locked referencing node (the manager then
+           performs upward propagation) or directly through its locked
+           parent relation. *)
+        let via_reference =
+          match current.oid with
+          | Some oid ->
+            List.exists parent_ok (Instance_graph.referencers graph oid)
+          | None -> false
+        in
+        if via_reference || parent_ok parent then Ok ()
         else
           Error
-            (Parent_not_locked
-               { node; parent = parent.id; needed;
-                 held = effective_mode_of protocol ~txn parent })
-    in
-    match precondition with
-    | Error _ as error -> error
-    | Ok () ->
-      (* Only the request itself plus the two implicit propagations; the
-         caller is responsible for the explicit parent chain (checked
-         above). *)
-      let builder = Plan_builder.create () in
-      if current.entry_point then
-        add_chain builder
-          (Instance_graph.ancestor_nodes graph current)
-          (Lock_mode.intention_for mode) Upward_propagation;
-      Plan_builder.add builder current mode Requested;
-      add_downward_propagation protocol ~txn builder current mode;
-      Ok (run_plan protocol ~txn ?duration (Plan_builder.finish builder)))
+            (Entry_point_not_reached
+               { entry = Instance_graph.id graph current; needed })
+      else if parent_ok parent then Ok ()
+      else
+        Error
+          (Parent_not_locked
+             { node = Instance_graph.id graph current;
+               parent = Instance_graph.id graph parent; needed;
+               held = effective_mode protocol ~txn parent })
+  in
+  match precondition with
+  | Error _ as error -> error
+  | Ok () ->
+    (* Only the request itself plus the two implicit propagations; the
+       caller is responsible for the explicit parent chain (checked
+       above). *)
+    let builder = Plan_builder.create () in
+    if current.entry_point then
+      add_chain builder
+        (Instance_graph.ancestor_nodes graph current)
+        (Lock_mode.intention_for mode) Upward_propagation;
+    Plan_builder.add builder current mode Requested;
+    add_downward_propagation protocol ~txn builder current mode;
+    Ok (run_plan protocol ~txn ?duration (Plan_builder.finish graph builder))
 
 let release_node protocol ~txn node =
-  Lock_table.release protocol.table ~txn ~resource:(Node_id.to_resource node)
+  Lock_table.release protocol.table ~txn
+    ~resource:(Instance_graph.resource protocol.graph node)
 
 let end_of_transaction protocol ~txn =
   Authz.Rights.forget_txn protocol.rights ~txn;

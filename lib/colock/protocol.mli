@@ -56,25 +56,31 @@ type step = {
   mode : Lockmgr.Lock_mode.t;
   reason : reason;
   resource : string;
-      (** the node's stored {!Instance_graph.node.resource}: the lock-table
-          key, computed once when the graph was built *)
+      (** the node's {!Instance_graph.resource}: the lock-table key,
+          rendered once and kept by the graph *)
 }
 
-val plan :
+val plan_node :
   t -> txn:Lockmgr.Lock_table.txn_id -> ?follow_references:bool ->
-  Node_id.t -> Lockmgr.Lock_mode.t -> step list
+  Instance_graph.node -> Lockmgr.Lock_mode.t -> step list
 (** The full, ordered lock plan for the request (independent of what is
     already held; acquisition of covered steps is a no-op). Parents always
     precede descendants; duplicate nodes are merged with the supremum of
-    their modes at the earliest position. Follows the compiled graph's
-    dense parent ids and memoised entry points, so no step is re-derived
-    from the subtree.
+    their modes at the earliest position. Follows the graph's dense parent
+    ids and memoised entry points, so no step is re-derived from the
+    subtree and no path is resolved.
 
     [follow_references] (default [true]) is the §4.5 semantic refinement:
     when a query provably never accesses the referenced common data (e.g.
     deleting a robot without touching its effectors), downward propagation
     can be skipped entirely — "no locks on common data are necessary at
     all". Only disable it when the access really is reference-blind. *)
+
+val plan :
+  t -> txn:Lockmgr.Lock_table.txn_id -> ?follow_references:bool ->
+  Node_id.t -> Lockmgr.Lock_mode.t -> step list
+(** {!plan_node} on the node at the given path, resolved once by
+    {!Instance_graph.node_exn}. *)
 
 type outcome =
   | Acquired of step list  (** every step granted; the merged plan returned *)
@@ -87,15 +93,14 @@ type outcome =
 val acquire :
   t -> txn:Lockmgr.Lock_table.txn_id -> ?wait:bool ->
   ?duration:Lockmgr.Lock_table.duration -> ?follow_references:bool ->
-  Node_id.t -> Lockmgr.Lock_mode.t -> outcome
-(** Executes the plan, each step through {!Lockmgr.Lock_table.request}. On
+  Instance_graph.node -> Lockmgr.Lock_mode.t -> outcome
+(** Executes the plan of {!plan_node}, each step through {!Lockmgr.Lock_table.request}. On
     [Blocked] with [?wait] (default [true]) the transaction is enqueued in
     the lock table on the blocking node; re-call after the blocker releases.
     With [~wait:false] nothing is enqueued: the plan prefix stays granted, so
     release it or retry. *)
 
 type protocol_violation =
-  | Unknown_node of Node_id.t
   | Parent_not_locked of {
       node : Node_id.t;
       parent : Node_id.t;
@@ -113,7 +118,7 @@ val pp_protocol_violation : Format.formatter -> protocol_violation -> unit
 
 val request_explicit :
   t -> txn:Lockmgr.Lock_table.txn_id -> ?duration:Lockmgr.Lock_table.duration ->
-  Node_id.t -> Lockmgr.Lock_mode.t ->
+  Instance_graph.node -> Lockmgr.Lock_mode.t ->
   (outcome, protocol_violation) result
 (** The paper's *explicit* request: checks the rule 1–4 preconditions (the
     caller must have locked the parent chain / a referencing node first)
@@ -122,14 +127,15 @@ val request_explicit :
     high-level {!acquire} is what query execution uses. *)
 
 val effective_mode :
-  t -> txn:Lockmgr.Lock_table.txn_id -> Node_id.t -> Lockmgr.Lock_mode.t
+  t -> txn:Lockmgr.Lock_table.txn_id -> Instance_graph.node ->
+  Lockmgr.Lock_mode.t
 (** Explicit mode on the node combined with the implicit mode inherited along
     solid lines: X if an ancestor is explicitly X, else S if an ancestor is
     explicitly S or SIX (§3.1; with single immediate parents "all parents"
     and "at least one parent" coincide). *)
 
 val release_node :
-  t -> txn:Lockmgr.Lock_table.txn_id -> Node_id.t ->
+  t -> txn:Lockmgr.Lock_table.txn_id -> Instance_graph.node ->
   Lockmgr.Lock_table.grant list
 (** Leaf-to-root release of one lock (rule 5). *)
 

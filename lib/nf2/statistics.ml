@@ -5,66 +5,79 @@ type t = {
   distinct_counts : (Path.t * int) list;
 }
 
-module Path_map = Map.Make (struct
-  type t = Path.t
-
-  let compare = Path.compare
-end)
-
-module String_set = Set.Make (String)
-
 let empty relation =
   { relation; cardinality = 0; collection_sizes = []; distinct_counts = [] }
 
+(* The totals of one attribute path, with the slots of its tuple fields
+   below: the walk reaches a field's slot through its parent's, so no path
+   is built or hashed per value. *)
+type slot = {
+  path : Path.t;
+  mutable members : int;  (* summed over the collections at this path *)
+  mutable instances : int;  (* collections at this path *)
+  renderings : (string, unit) Hashtbl.t;  (* distinct atomic values *)
+  mutable fields : (string * slot) list;
+}
+
+let slot path =
+  { path; members = 0; instances = 0; renderings = Hashtbl.create 8;
+    fields = [] }
+
+let field_slot parent field =
+  match List.assoc_opt field parent.fields with
+  | Some found -> found
+  | None ->
+    let fresh = slot (Path.child parent.path field) in
+    parent.fields <- (field, fresh) :: parent.fields;
+    fresh
+
 let compute store =
-  let counts = ref Path_map.empty in
-  (* member count and instance count per collection path *)
-  let distincts = ref Path_map.empty in
-  let record_collection path members =
-    let members_before, instances_before =
-      match Path_map.find_opt path !counts with
-      | None -> 0, 0
-      | Some totals -> totals
-    in
-    counts :=
-      Path_map.add path (members_before + members, instances_before + 1) !counts
-  in
-  let record_atomic path rendering =
-    let seen =
-      match Path_map.find_opt path !distincts with
-      | None -> String_set.empty
-      | Some seen -> seen
-    in
-    distincts := Path_map.add path (String_set.add rendering seen) !distincts
-  in
-  let rec walk path value =
+  let root = slot Path.root in
+  let rec walk slot value =
     match value with
     | Value.Str _ | Value.Int _ | Value.Real _ | Value.Bool _ -> (
       match Value.render_atomic value with
-      | Some rendering -> record_atomic path rendering
+      | Some rendering -> Hashtbl.replace slot.renderings rendering ()
       | None -> ())
-    | Value.Ref oid -> record_atomic path (Oid.to_string oid)
+    | Value.Ref oid -> Hashtbl.replace slot.renderings (Oid.to_string oid) ()
     | Value.Set members | Value.List members ->
-      record_collection path (List.length members);
-      List.iter (walk path) members
+      slot.members <- slot.members + List.length members;
+      slot.instances <- slot.instances + 1;
+      List.iter (walk slot) members
     | Value.Tuple bindings ->
-      List.iter (fun (field, sub) -> walk (Path.child path field) sub) bindings
+      List.iter (fun (field, sub) -> walk (field_slot slot field) sub) bindings
   in
   let cardinality =
     Relation.fold
       (fun _key value seen ->
-        walk Path.root value;
+        walk root value;
         seen + 1)
       store 0
   in
+  let rec all slot accu =
+    List.fold_left
+      (fun accu (_field, below) -> all below accu)
+      (slot :: accu) slot.fields
+  in
+  (* reported in path order, as a path map would list them *)
+  let slots = List.sort (fun a b -> Path.compare a.path b.path) (all root []) in
   let collection_sizes =
-    Path_map.bindings !counts
-    |> List.map (fun (path, (members, instances)) ->
-           (path, float_of_int members /. float_of_int (max 1 instances)))
+    List.filter_map
+      (fun slot ->
+        if slot.instances = 0 then None
+        else
+          Some
+            ( slot.path,
+              float_of_int slot.members /. float_of_int slot.instances ))
+      slots
   in
   let distinct_counts =
-    Path_map.bindings !distincts
-    |> List.map (fun (path, seen) -> (path, String_set.cardinal seen))
+    List.filter_map
+      (fun slot ->
+        match Hashtbl.length slot.renderings with
+        | 0 -> None
+        | count -> Some (slot.path, count))
+      slots
   in
   { relation = Relation.name store; cardinality; collection_sizes;
     distinct_counts }

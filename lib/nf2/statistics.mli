@@ -15,7 +15,9 @@ type t = {
 }
 
 val compute : Relation.t -> t
-(** One full scan of the relation. *)
+(** One full scan of the relation: each value costs one probe of its
+    path's set of renderings, reached through its parent path's slot.
+    Both lists come out in {!Path.compare} order. *)
 
 val empty : string -> t
 (** Statistics of an empty (or unknown) relation; estimates degrade to

@@ -45,7 +45,7 @@ let stats_for executor relation =
   | Some stats -> stats
   | None -> Nf2.Statistics.empty relation
 
-type row = { oid : Oid.t; node : Node_id.t; value : Value.t }
+type row = { oid : Oid.t; node : Graph.node; value : Value.t }
 
 type result_set = {
   rows : row list;
@@ -80,21 +80,20 @@ let pp_error formatter = function
 
 (* Walk instance nodes and values in lockstep.  Instance children of a HoLU
    were built in member order, so positional pairing is exact. *)
-let rec resolve_pairs graph (node_id, value) steps =
+let rec resolve_pairs graph ((node : Graph.node), value) steps =
   match steps with
-  | [] -> [ (node_id, value) ]
+  | [] -> [ (node, value) ]
   | step :: rest -> (
-    let node = Graph.node_exn graph node_id in
-    match node.Graph.kind, value with
+    match node.kind, value with
     | Colock.Lockable.Helu, Value.Tuple bindings -> (
-      match List.assoc_opt step bindings with
-      | Some sub -> resolve_pairs graph (Node_id.child node_id step, sub) rest
-      | None -> [])
+      match List.assoc_opt step bindings, Graph.member_node graph node step with
+      | Some sub, Some child -> resolve_pairs graph (child, sub) rest
+      | None, _ | _, None -> [])
     | Colock.Lockable.Holu, (Value.Set members | Value.List members) ->
       List.concat
         (List.map2
            (fun child member -> resolve_pairs graph (child, member) steps)
-           node.Graph.children members)
+           (Graph.children graph node) members)
     | (Colock.Lockable.Blu | Colock.Lockable.Helu | Colock.Lockable.Holu), _ ->
       [])
 
@@ -105,15 +104,14 @@ let member_pairs graph (object_node, object_value) path =
   else
     let holus = resolve_pairs graph (object_node, object_value) (Path.to_list path) in
     List.concat_map
-      (fun (holu_id, holu_value) ->
-        let node = Graph.node_exn graph holu_id in
-        match node.Graph.kind, holu_value with
+      (fun ((holu : Graph.node), holu_value) ->
+        match holu.kind, holu_value with
         | Colock.Lockable.Holu, (Value.Set members | Value.List members) ->
-          List.combine node.Graph.children members
+          List.combine (Graph.children graph holu) members
         | (Colock.Lockable.Blu | Colock.Lockable.Helu | Colock.Lockable.Holu), _
           ->
           (* selecting from a non-collection path yields the value itself *)
-          [ (holu_id, holu_value) ])
+          [ (holu, holu_value) ])
       holus
 
 let literal_matches literal value = Value.equal (Ast.literal_to_value literal) value
@@ -152,7 +150,7 @@ let member_matches relative_conditions member_value =
       List.exists (literal_matches literal) (Value.project member_value path))
     relative_conditions
 
-type lock_target = { lt_node : Node_id.t; lt_mode : Mode.t }
+type lock_target = { lt_node : Graph.node; lt_mode : Mode.t }
 
 exception Blocked_exception of {
   node : Node_id.t;
@@ -298,9 +296,11 @@ let insert_object executor ~txn ?(wait = true) relation value =
          lock table is name-based, so locking a not-yet-existing node is
          fine — this is exactly what keeps relation scans phantom-safe). *)
       let lock_new_object () =
-        let candidate = Node_id.child relation_node key in
+        let candidate = Node_id.child (Graph.id graph relation_node) key in
         let table = Protocol.table executor.protocol in
-        let resource = Node_id.to_resource candidate in
+        let resource =
+          Node_id.child_resource (Graph.resource graph relation_node) key
+        in
         match Lockmgr.Lock_table.request table ~txn ~wait ~resource Mode.X with
         | Lockmgr.Lock_table.Granted -> Ok ()
         | Lockmgr.Lock_table.Waiting blockers ->
@@ -355,7 +355,8 @@ let delete_object executor ~txn ?(wait = true) oid =
            | None -> ());
           Ok ())))
 
-(* Rebuild the object value with the sub-value at the row's node replaced. *)
+(* Rebuild the object value with the sub-value at the row's node replaced,
+   descending along the row node's parent chain. *)
 let apply_update executor ~txn row update =
   let graph = Protocol.graph executor.protocol in
   let object_node =
@@ -363,53 +364,44 @@ let apply_update executor ~txn row update =
     | Some node -> node
     | None -> invalid_arg "Executor.apply_update: unknown object"
   in
-  let relative_steps =
-    let rec drop count steps =
-      if count = 0 then steps
-      else match steps with [] -> [] | _ :: rest -> drop (count - 1) rest
-    in
-    drop (Node_id.depth object_node) (Node_id.steps row.node)
+  (* the nodes from just below the object down to the row's node *)
+  let rec chain (node : Graph.node) below =
+    if node == object_node then below
+    else
+      match Graph.parent_node graph node with
+      | Some parent -> chain parent (node :: below)
+      | None -> invalid_arg "Executor.apply_update: row outside its object"
   in
-  let rec rebuild node_id value steps =
-    match steps with
+  let rec rebuild (node : Graph.node) value = function
     | [] -> update value
-    | step :: rest -> (
-      let node = Graph.node_exn graph node_id in
-      match node.Graph.kind, value with
+    | (next : Graph.node) :: rest -> (
+      match node.kind, value with
       | Colock.Lockable.Helu, Value.Tuple bindings ->
         Value.Tuple
           (List.map
              (fun (field, sub) ->
-               if String.equal field step then
-                 (field, rebuild (Node_id.child node_id step) sub rest)
+               if String.equal field next.step then
+                 (field, rebuild next sub rest)
                else (field, sub))
              bindings)
       | Colock.Lockable.Holu, Value.Set members ->
-        Value.Set (rebuild_members node_id members (step :: rest))
+        Value.Set (rebuild_members node members next rest)
       | Colock.Lockable.Holu, Value.List members ->
-        Value.List (rebuild_members node_id members (step :: rest))
+        Value.List (rebuild_members node members next rest)
       | (Colock.Lockable.Blu | Colock.Lockable.Helu | Colock.Lockable.Holu), _
         ->
         value)
-  and rebuild_members node_id members steps =
-    let node = Graph.node_exn graph node_id in
+  and rebuild_members node members next rest =
     List.map2
-      (fun child member ->
-        match steps with
-        | step :: rest
-          when (match List.rev (Node_id.steps child) with
-                | leaf :: _ -> String.equal leaf step
-                | [] -> false) ->
-          rebuild child member rest
-        | _ :: _ | [] -> member)
-      node.Graph.children members
+      (fun child member -> if child == next then rebuild child member rest else member)
+      (Graph.children graph node) members
   in
   let store_value =
     match Nf2.Database.deref executor.db row.oid with
     | Some value -> value
     | None -> invalid_arg "Executor.apply_update: object disappeared"
   in
-  let updated = rebuild object_node store_value relative_steps in
+  let updated = rebuild object_node store_value (chain row.node []) in
   match
     Nf2.Database.replace executor.db (Oid.relation row.oid) updated
   with

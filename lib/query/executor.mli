@@ -36,7 +36,8 @@ val set_write_hook :
 
 type row = {
   oid : Nf2.Oid.t;  (** the complex object the row belongs to *)
-  node : Colock.Node_id.t;  (** instance node of the selected (sub-)value *)
+  node : Colock.Instance_graph.node;
+      (** instance node of the selected (sub-)value *)
   value : Nf2.Value.t;
 }
 

@@ -30,7 +30,7 @@ let op_node_mode = function
   | Node_update node -> (node, Mode.X)
 
 (* The complex object containing an instance node (self included). *)
-let containing_object graph node_id =
+let containing_object graph node =
   let rec climb (node : Graph.node) =
     match node.oid with
     | Some oid -> Some oid
@@ -39,18 +39,23 @@ let containing_object graph node_id =
       | Some parent -> climb parent
       | None -> None)
   in
-  climb (Graph.node_exn graph node_id)
+  climb node
 
-let compile_op graph technique op txn =
-  let node, mode = op_node_mode op in
+(* The op's node is resolved once, here; the plan is drawn per
+   transaction. *)
+let compile_op graph technique op =
+  let id, mode = op_node_mode op in
+  let node = Graph.node_exn graph id in
   match technique with
   | Proposed protocol ->
-    List.map Technique.of_step (Colock.Protocol.plan protocol ~txn node mode)
+    fun txn ->
+      List.map Technique.of_step (Colock.Protocol.plan_node protocol ~txn node mode)
   | Whole_object -> (
     match containing_object graph node with
-    | Some oid -> Baselines.Whole_object.plan graph ~oid mode
-    | None -> Technique.with_ancestors graph node mode)
-  | Tuple_level -> Baselines.Tuple_level.plan_node graph node mode
+    | Some oid -> fun _txn -> Baselines.Whole_object.plan graph ~oid mode
+    | None ->
+      fun _txn -> Technique.merge graph (Technique.with_ancestors graph node mode))
+  | Tuple_level -> fun _txn -> Baselines.Tuple_level.plan_node graph node mode
 
 let compile graph technique specs =
   List.map
@@ -64,6 +69,13 @@ let compile graph technique specs =
                 access_cost = spec.access_cost })
             spec.ops })
     specs
+
+(* A field of a cell object; job specs hold the graph's own ids, so a
+   population shares the paths the graph keeps. *)
+let cell_member graph cell field =
+  match Graph.member_node graph cell field with
+  | Some node -> node
+  | None -> invalid_arg ("Scenario: cell without " ^ field)
 
 type mix = {
   jobs : int;
@@ -103,9 +115,8 @@ let manufacturing_mix db graph mix =
     | None -> invalid_arg "Scenario: unknown cell"
   in
   let random_robot_node () =
-    let holu = Node_id.child (cell_node (random_cell ())) "robots" in
-    let members = (Graph.node_exn graph holu).Graph.children in
-    List.nth members (Random.State.int state (List.length members))
+    let members = Graph.children graph (cell_member graph (cell_node (random_cell ())) "robots") in
+    Graph.id graph (List.nth members (Random.State.int state (List.length members)))
   in
   let random_op () =
     let dice = Random.State.float state 1.0 in
@@ -117,10 +128,12 @@ let manufacturing_mix db graph mix =
       match
         Graph.object_node graph (Nf2.Oid.make ~relation:"effectors" ~key)
       with
-      | Some node -> Node_update node
+      | Some node -> Node_update (Graph.id graph node)
       | None -> invalid_arg "Scenario: unknown effector"
     else if dice < mix.library_update_fraction +. ((1.0 -. mix.library_update_fraction) *. mix.read_fraction)
-    then Node_read (Node_id.child (cell_node (random_cell ())) "c_objects")
+    then
+      Node_read
+        (Graph.id graph (cell_member graph (cell_node (random_cell ())) "c_objects"))
     else Node_update (random_robot_node ())
   in
   List.init mix.jobs (fun index ->
@@ -235,19 +248,22 @@ let of_dsl db graph (dsl : Workload.Dsl.t) =
   in
   let random_cell () = cell_keys.(cell_pick (Array.length cell_keys)) in
   let read_op () =
-    Node_read (Node_id.child (cell_node (random_cell ())) "c_objects")
+    Node_read
+      (Graph.id graph (cell_member graph (cell_node (random_cell ())) "c_objects"))
   in
   let update_op () =
-    let holu = Node_id.child (cell_node (random_cell ())) "robots" in
-    let members = (Graph.node_exn graph holu).Graph.children in
-    Node_update (List.nth members (Random.State.int state (List.length members)))
+    let members =
+      Graph.children graph (cell_member graph (cell_node (random_cell ())) "robots")
+    in
+    Node_update
+      (Graph.id graph (List.nth members (Random.State.int state (List.length members))))
   in
   let library_op () =
     let key = effector_keys.(effector_pick (Array.length effector_keys)) in
     match
       Graph.object_node graph (Nf2.Oid.make ~relation:"effectors" ~key)
     with
-    | Some node -> Node_update node
+    | Some node -> Node_update (Graph.id graph node)
     | None -> invalid_arg "Scenario: unknown effector"
   in
   let arrivals = arrival_times state dsl in
@@ -278,7 +294,7 @@ let of_dsl db graph (dsl : Workload.Dsl.t) =
         (* a long check-out session: X on one whole cell object, held for
            [checkout_hold] ticks per step — the Txn.Checkout usage pattern
            compressed into the simulator's step shape *)
-        let root = cell_node (random_cell ()) in
+        let root = Graph.id graph (cell_node (random_cell ())) in
         { arrival;
           ops = List.init dsl.checkout_steps (fun _step -> Node_update root);
           access_cost = dsl.checkout_hold;

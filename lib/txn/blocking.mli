@@ -21,7 +21,8 @@ val create : Colock.Protocol.t -> t
 
 val acquire :
   t -> txn:Lockmgr.Lock_table.txn_id -> ?duration:Lockmgr.Lock_table.duration ->
-  Colock.Node_id.t -> Lockmgr.Lock_mode.t -> [ `Granted | `Deadlock_victim ]
+  Colock.Instance_graph.node -> Lockmgr.Lock_mode.t ->
+  [ `Granted | `Deadlock_victim ]
 (** Blocks until granted. On [`Deadlock_victim] every lock of the
     transaction has already been released; the caller should back off and
     restart its work under the same (or a fresh) transaction id. *)
@@ -32,7 +33,8 @@ val end_of_transaction : t -> txn:Lockmgr.Lock_table.txn_id -> unit
 
 val run_txn :
   t -> txn:Lockmgr.Lock_table.txn_id ->
-  locks:(Colock.Node_id.t * Lockmgr.Lock_mode.t) list -> (unit -> 'result) ->
+  locks:(Colock.Instance_graph.node * Lockmgr.Lock_mode.t) list ->
+  (unit -> 'result) ->
   'result
 (** Strict-2PL convenience: acquires all [locks] (restarting transparently
     after deadlock victimhood with exponential-free constant backoff), runs

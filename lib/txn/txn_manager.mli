@@ -153,7 +153,7 @@ type acquire_outcome =
 
 val acquire :
   t -> Transaction.t -> ?duration:Lockmgr.Lock_table.duration ->
-  Colock.Node_id.t -> Lockmgr.Lock_mode.t -> acquire_outcome
+  Colock.Instance_graph.node -> Lockmgr.Lock_mode.t -> acquire_outcome
 (** Runs the protocol plan; a blocked step goes to {!wait}, and a step a
     victim's release granted resumes at once. Each [Granted] is one unit
     of the transaction's work. A transaction the engine sacrificed while it

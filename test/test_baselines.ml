@@ -176,8 +176,8 @@ let test_sysr_naive_hidden_conflict () =
      The lock table sees no conflict, but both now "own" e2. *)
   let graph = Graph.build (fig1 ()) in
   let table = Table.create () in
-  let r1 = Option.get (Node_id.of_steps [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r1" ]) in
-  let r2 = Option.get (Node_id.of_steps [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r2" ]) in
+  let r1 = Graph.node_exn graph (Option.get (Node_id.of_steps [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r1" ])) in
+  let r2 = Graph.node_exn graph (Option.get (Node_id.of_steps [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r2" ])) in
   (match
      Baselines.Technique.acquire table ~txn:1
        (Baselines.Sysr_dag.plan_hierarchical_naive graph r1 Mode.X)
@@ -215,8 +215,8 @@ let test_proposed_has_no_hidden_conflicts () =
       Authz.Rights.revoke_modify rights ~txn:1 ~relation:"effectors";
       Authz.Rights.revoke_modify rights ~txn:2 ~relation:"effectors"
     end;
-    let r1 = Option.get (Node_id.of_steps [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r1" ]) in
-    let r2 = Option.get (Node_id.of_steps [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r2" ]) in
+    let r1 = Graph.node_exn graph (Option.get (Node_id.of_steps [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r1" ])) in
+    let r2 = Graph.node_exn graph (Option.get (Node_id.of_steps [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r2" ])) in
     let acquire txn node =
       match Colock.Protocol.acquire protocol ~wait:false ~txn node Mode.X with
       | Colock.Protocol.Acquired _ -> true
@@ -252,7 +252,7 @@ let test_proposed_beats_all_parents_on_cost () =
   let protocol = Colock.Protocol.create graph table in
   let e1 = Oid.make ~relation:"effectors" ~key:"e1" in
   let entry = Option.get (Graph.object_node graph e1) in
-  let steps = Colock.Protocol.plan protocol ~txn:1 entry Mode.X in
+  let steps = Colock.Protocol.plan_node protocol ~txn:1 entry Mode.X in
   check_int "proposed: 4 requests" 4 (List.length steps);
   let naive = Baselines.Sysr_dag.plan_exclusive_all_parents graph ~oid:e1 in
   check_bool "naive needs an order of magnitude more" true

@@ -45,7 +45,7 @@ let test_graph_insert_object () =
    with
    | Ok node ->
      Alcotest.(check string) "node id" "db1/seg1/cells/c2"
-       (Node_id.to_resource node)
+       (Graph.resource env.graph node)
    | Error message -> Alcotest.failf "insert failed: %s" message);
   check_bool "node count grew" true (Graph.node_count env.graph > before);
   (* the new object is navigable and its referencers registered *)
@@ -56,8 +56,8 @@ let test_graph_insert_object () =
     (List.length
        (Graph.referencers env.graph (Oid.make ~relation:"effectors" ~key:"e1")));
   (* relation node children sorted and complete *)
-  let relation = Graph.node_exn env.graph (Option.get (Graph.relation_node env.graph "cells")) in
-  check_int "two cells" 2 (List.length relation.Graph.children)
+  let relation = Option.get (Graph.relation_node env.graph "cells") in
+  check_int "two cells" 2 (List.length (Graph.children env.graph relation))
 
 let test_graph_insert_duplicate () =
   let env = make_env () in

@@ -152,7 +152,10 @@ let test_executor_index_equivalence () =
     match Query.Executor.run_string executor ~txn:1 q_c7 with
     | Ok result ->
       ( List.map
-          (fun row -> Colock.Node_id.to_resource row.Query.Executor.node)
+          (fun row ->
+            Colock.Instance_graph.resource
+              (Colock.Protocol.graph (Query.Executor.protocol executor))
+              row.Query.Executor.node)
           result.Query.Executor.rows,
         Lockmgr.Lock_table.locks_of table ~txn:1 )
     | Error _ -> Alcotest.fail "query failed"

@@ -388,7 +388,7 @@ let test_monitor_agrees_with_table_and_manager () =
   let manager = Txn.Txn_manager.create protocol in
   let registry = Obs.Monitor.registry monitor in
   let gauge name = int_of_float (Obs.Registry.gauge_value registry name) in
-  let node steps = Option.get (Node_id.of_steps steps) in
+  let node steps = Graph.node_exn graph (Option.get (Node_id.of_steps steps)) in
   let cell = node [ "db1"; "seg1"; "cells"; "c1" ] in
   let robot = node [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r1" ] in
   let t1 = Txn.Txn_manager.begin_txn manager in

@@ -35,7 +35,7 @@ let object_node env ~relation ~key =
 let plan_modes env ~txn node mode =
   List.map
     (fun { Protocol.node; mode; _ } -> (Node_id.to_resource node, mode))
-    (Protocol.plan env.protocol ~txn node mode)
+    (Protocol.plan_node env.protocol ~txn node mode)
 
 let planned_mode plan prefix =
   List.filter_map
@@ -63,11 +63,10 @@ let test_entry_points_at_every_level () =
     (fun relation ->
       let node = object_node env ~relation ~key:(relation ^ "_1") in
       check_bool (relation ^ " objects are entry points") true
-        (Colock.Units.is_entry_point env.graph node))
+        node.Graph.entry_point)
     [ "lib1"; "lib2"; "lib3" ];
   let product = object_node env ~relation:"products" ~key:"prod1" in
-  check_bool "products are not entry points" false
-    (Colock.Units.is_entry_point env.graph product)
+  check_bool "products are not entry points" false product.Graph.entry_point
 
 let test_transitive_propagation_rule4 () =
   let env = make_env ~rule:Protocol.Rule_4 () in
@@ -159,8 +158,7 @@ let test_reader_blocks_deep_writer () =
   match covered_lib3 with
   | [] -> Alcotest.fail "expected S locks on lib3 entries"
   | resource :: _ -> (
-    let steps = String.split_on_char '/' resource in
-    let node = Option.get (Node_id.of_steps steps) in
+    let node = Option.get (Graph.node_of_resource env.graph resource) in
     match Protocol.acquire env.protocol ~wait:false ~txn:2 node Mode.X with
     | Protocol.Blocked { blockers; _ } ->
       Alcotest.(check (list int)) "blocked by the reader" [ 1 ] blockers

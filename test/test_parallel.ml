@@ -11,14 +11,15 @@ module Node_id = Colock.Node_id
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* One read-only graph for every test; each test gets its own lock table. *)
+let graph = Graph.build (Workload.Figure1.database ())
+
 let make_blocking () =
-  let db = Workload.Figure1.database () in
-  let graph = Graph.build db in
   let table = Table.create () in
   let protocol = Colock.Protocol.create graph table in
   (table, Txn.Blocking.create protocol)
 
-let node steps = Option.get (Node_id.of_steps steps)
+let node steps = Graph.node_exn graph (Option.get (Node_id.of_steps steps))
 let robot_r1 = node [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r1" ]
 let robot_r2 = node [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r2" ]
 let effector_e1 = node [ "db1"; "seg2"; "effectors"; "e1" ]

@@ -29,8 +29,10 @@ let make_env ?(rule = Protocol.Rule_4_prime) ?(c_objects = 3) () =
   let protocol = Protocol.create ~rule ~rights graph table in
   { graph; table; rights; protocol }
 
+let at env steps = Graph.node_exn env.graph (node steps)
+
 let acquire_exn env ~txn id mode =
-  match Protocol.acquire env.protocol ~txn id mode with
+  match Protocol.acquire env.protocol ~txn (Graph.node_exn env.graph id) mode with
   | Protocol.Acquired steps -> steps
   | Protocol.Blocked { step; blockers; _ } ->
     Alcotest.failf "unexpected block on %s (blockers %s)"
@@ -159,7 +161,7 @@ let test_figure7_q2_q3_concurrent () =
   let (_ : Protocol.step list) = run_q2 env ~txn:2 in
   Authz.Rights.revoke_modify env.rights ~txn:3 ~relation:"effectors";
   match
-    Protocol.acquire env.protocol ~wait:false ~txn:3 (node robot_r2) Mode.X
+    Protocol.acquire env.protocol ~wait:false ~txn:3 (at env robot_r2) Mode.X
   with
   | Protocol.Acquired _ ->
     check_mode "both hold S on e2 (T2)" Mode.S (held env ~txn:2 effector_e2);
@@ -176,7 +178,7 @@ let test_figure7_rule4_serializes () =
   in
   check_mode "rule 4 propagates X" Mode.X (held env ~txn:2 effector_e2);
   match
-    Protocol.acquire env.protocol ~wait:false ~txn:3 (node robot_r2) Mode.X
+    Protocol.acquire env.protocol ~wait:false ~txn:3 (at env robot_r2) Mode.X
   with
   | Protocol.Blocked { step; blockers; _ } ->
     Alcotest.(check (list int)) "blocked by T2" [ 2 ] blockers;
@@ -204,7 +206,7 @@ let test_whole_object_locking_would_conflict () =
   let env = make_env () in
   let (_ : Protocol.step list) = acquire_exn env ~txn:1 (node cell_c1) Mode.S in
   match
-    Protocol.acquire env.protocol ~wait:false ~txn:2 (node cell_c1) Mode.X
+    Protocol.acquire env.protocol ~wait:false ~txn:2 (at env cell_c1) Mode.X
   with
   | Protocol.Blocked _ -> ()
   | Protocol.Acquired _ -> Alcotest.fail "whole-object X vs S must conflict"
@@ -220,7 +222,7 @@ let test_from_the_side_conflict_detected () =
     acquire_exn env ~txn:2 (node robot_r1) Mode.X
   in
   match
-    Protocol.acquire env.protocol ~wait:false ~txn:3 (node robot_r2) Mode.S
+    Protocol.acquire env.protocol ~wait:false ~txn:3 (at env robot_r2) Mode.S
   with
   | Protocol.Blocked { step; blockers; _ } ->
     Alcotest.(check (list int)) "blocked by T2" [ 2 ] blockers;
@@ -240,7 +242,7 @@ let test_direct_library_update_sees_readers () =
   in
   check_mode "reader holds e2 S" Mode.S (held env ~txn:1 effector_e2);
   match
-    Protocol.acquire env.protocol ~wait:false ~txn:2 (node effector_e2) Mode.X
+    Protocol.acquire env.protocol ~wait:false ~txn:2 (at env effector_e2) Mode.X
   with
   | Protocol.Blocked { blockers; _ } ->
     Alcotest.(check (list int)) "blocked by reader" [ 1 ] blockers
@@ -251,7 +253,7 @@ let test_direct_library_update_sees_readers () =
 let test_explicit_requires_parent () =
   let env = make_env () in
   match
-    Protocol.request_explicit env.protocol ~txn:1 (node cell_c1) Mode.S
+    Protocol.request_explicit env.protocol ~txn:1 (at env cell_c1) Mode.S
   with
   | Error (Protocol.Parent_not_locked { needed; _ }) ->
     check_mode "needs IS" Mode.IS needed
@@ -260,7 +262,7 @@ let test_explicit_requires_parent () =
 
 let test_explicit_root_needs_nothing () =
   let env = make_env () in
-  match Protocol.request_explicit env.protocol ~txn:1 (node db1) Mode.IX with
+  match Protocol.request_explicit env.protocol ~txn:1 (at env db1) Mode.IX with
   | Ok (Protocol.Acquired _) -> ()
   | Ok (Protocol.Blocked _) | Error _ ->
     Alcotest.fail "root of the outer unit needs no prior locks"
@@ -269,7 +271,7 @@ let test_explicit_step_by_step () =
   (* Locking root-to-leaf by hand satisfies the explicit protocol. *)
   let env = make_env () in
   let request steps mode =
-    match Protocol.request_explicit env.protocol ~txn:1 (node steps) mode with
+    match Protocol.request_explicit env.protocol ~txn:1 (at env steps) mode with
     | Ok (Protocol.Acquired _) -> ()
     | Ok (Protocol.Blocked _) -> Alcotest.fail "unexpected block"
     | Error violation ->
@@ -293,7 +295,7 @@ let test_explicit_entry_point_via_reference () =
   in
   (* r1 S-locked: its BLU refs are implicitly covered, so e1 is reachable. *)
   (match
-     Protocol.request_explicit env.protocol ~txn:1 (node effector_e1) Mode.S
+     Protocol.request_explicit env.protocol ~txn:1 (at env effector_e1) Mode.S
    with
    | Ok (Protocol.Acquired _) -> ()
    | Ok (Protocol.Blocked _) | Error _ ->
@@ -305,20 +307,18 @@ let test_explicit_entry_point_via_reference () =
 let test_explicit_entry_point_unreachable () =
   let env = make_env () in
   match
-    Protocol.request_explicit env.protocol ~txn:1 (node effector_e1) Mode.S
+    Protocol.request_explicit env.protocol ~txn:1 (at env effector_e1) Mode.S
   with
   | Error (Protocol.Entry_point_not_reached _) -> ()
   | Error _ -> Alcotest.fail "wrong violation"
   | Ok _ -> Alcotest.fail "unreached entry point must be rejected"
 
 let test_explicit_unknown_node () =
+  (* an explicit request names a resolved node; a path outside the graph
+     does not resolve *)
   let env = make_env () in
-  match
-    Protocol.request_explicit env.protocol ~txn:1
-      (node [ "db1"; "nowhere" ]) Mode.S
-  with
-  | Error (Protocol.Unknown_node _) -> ()
-  | Error _ | Ok _ -> Alcotest.fail "expected Unknown_node"
+  Alcotest.(check bool) "unresolved" true
+    (Option.is_none (Graph.node env.graph (node [ "db1"; "nowhere" ])))
 
 (* --------------------------------------------------------- Effective mode *)
 
@@ -326,10 +326,10 @@ let test_effective_mode_implicit () =
   let env = make_env () in
   let (_ : Protocol.step list) = acquire_exn env ~txn:1 (node cell_c1) Mode.X in
   check_mode "descendant implicitly X" Mode.X
-    (Protocol.effective_mode env.protocol ~txn:1 (node robot_r1));
+    (Protocol.effective_mode env.protocol ~txn:1 (at env robot_r1));
   check_mode "deep descendant implicitly X" Mode.X
     (Protocol.effective_mode env.protocol ~txn:1
-       (node (robot_r1 @ [ "trajectory" ])));
+       (at env (robot_r1 @ [ "trajectory" ])));
   (* X on c1 reaches the effectors through downward propagation (all
      modifiable by default), so e1 is explicitly X, not implicitly covered. *)
   check_mode "e1 explicitly X via propagation" Mode.X (held env ~txn:1 effector_e1);
@@ -344,7 +344,7 @@ let test_effective_mode_s_over_six () =
   in
   check_mode "cell holds SIX" Mode.SIX (held env ~txn:1 cell_c1);
   check_mode "descendants implicitly S" Mode.S
-    (Protocol.effective_mode env.protocol ~txn:1 (node robot_r1))
+    (Protocol.effective_mode env.protocol ~txn:1 (at env robot_r1))
 
 let test_effective_mode_no_dashed_inheritance () =
   (* Implicit locks do not flow across dashed edges: X on robot r1 does not
@@ -357,7 +357,7 @@ let test_effective_mode_no_dashed_inheritance () =
   check_mode "e1 explicitly X (propagated)" Mode.X (held env ~txn:1 effector_e1);
   check_mode "e1's tool implicitly X via e1" Mode.X
     (Protocol.effective_mode env.protocol ~txn:1
-       (node (effector_e1 @ [ "tool" ])))
+       (at env (effector_e1 @ [ "tool" ])))
 
 (* ------------------------------------------------------- Rule 5 / release *)
 
@@ -367,7 +367,7 @@ let test_release_leaf_to_root () =
     acquire_exn env ~txn:1 (node c_objects) Mode.S
   in
   let (_ : Table.grant list) =
-    Protocol.release_node env.protocol ~txn:1 (node c_objects)
+    Protocol.release_node env.protocol ~txn:1 (at env c_objects)
   in
   check_mode "leaf released" Mode.NL (held env ~txn:1 c_objects);
   check_mode "parents still intention-locked" Mode.IS (held env ~txn:1 cell_c1);
@@ -377,7 +377,7 @@ let test_release_leaf_to_root () =
 let test_end_of_transaction_wakes_waiters () =
   let env = make_env () in
   let (_ : Protocol.step list) = acquire_exn env ~txn:1 (node cell_c1) Mode.X in
-  (match Protocol.acquire env.protocol ~txn:2 (node cell_c1) Mode.S with
+  (match Protocol.acquire env.protocol ~txn:2 (at env cell_c1) Mode.S with
    | Protocol.Blocked _ -> ()
    | Protocol.Acquired _ -> Alcotest.fail "should block");
   let grants = Protocol.end_of_transaction env.protocol ~txn:1 in
@@ -398,7 +398,7 @@ let test_disjoint_plan_matches_system_r () =
   let table = Table.create () in
   let protocol = Protocol.create graph table in
   let a1 = Option.get (Graph.object_node graph (Oid.make ~relation:"assemblies" ~key:"a1")) in
-  let steps = Protocol.plan protocol ~txn:1 a1 Mode.X in
+  let steps = Protocol.plan_node protocol ~txn:1 a1 Mode.X in
   Alcotest.(check (list (pair string string)))
     "System R shape"
     [ ("db1", "IX"); ("db1/seg_asm", "IX"); ("db1/seg_asm/assemblies", "IX");
@@ -434,7 +434,7 @@ let test_reference_blind_delete_ignores_library_writer () =
   in
   match
     Protocol.acquire env.protocol ~wait:false ~txn:1 ~follow_references:false
-      (node robot_r1) Mode.X
+      (at env robot_r1) Mode.X
   with
   | Protocol.Acquired _ -> ()
   | Protocol.Blocked _ ->
@@ -456,7 +456,7 @@ let test_nonwaiting_long_acquire_sticks () =
   let steps = acquire_exn env ~txn:1 (node robot_r1) Mode.S in
   (match
      Protocol.acquire env.protocol ~txn:1 ~wait:false ~duration:Table.Long
-       (node robot_r1) Mode.S
+       (at env robot_r1) Mode.S
    with
    | Protocol.Acquired _ -> ()
    | Protocol.Blocked _ -> Alcotest.fail "a covered plan cannot block");
@@ -477,7 +477,7 @@ let test_blocked_acquire_resumes () =
   let (_ : Protocol.step list) = acquire_exn env ~txn:1 (node robot_r1) Mode.X in
   (* T2 wants the whole cell: blocked on r1's ancestor... actually on c1?  No:
      T2's S on c1 conflicts with T1's IX on c1.  It queues there. *)
-  (match Protocol.acquire env.protocol ~txn:2 (node cell_c1) Mode.S with
+  (match Protocol.acquire env.protocol ~txn:2 (at env cell_c1) Mode.S with
    | Protocol.Blocked { step; _ } ->
      check_bool "blocked on c1" true
        (String.equal (Node_id.to_resource step.Protocol.node)
@@ -486,7 +486,7 @@ let test_blocked_acquire_resumes () =
   let (_ : Table.grant list) = Protocol.end_of_transaction env.protocol ~txn:1 in
   (* After T1 is gone the queued grant already installed T2's lock; re-calling
      acquire completes the remaining plan steps. *)
-  match Protocol.acquire env.protocol ~txn:2 (node cell_c1) Mode.S with
+  match Protocol.acquire env.protocol ~txn:2 (at env cell_c1) Mode.S with
   | Protocol.Acquired _ ->
     check_mode "T2 holds c1 S" Mode.S (held env ~txn:2 cell_c1)
   | Protocol.Blocked _ -> Alcotest.fail "retry should succeed"
@@ -494,13 +494,16 @@ let test_blocked_acquire_resumes () =
 (* --------------------------------------------- Oracle: no hidden conflicts *)
 
 let all_data_nodes env =
-  Graph.fold (fun node accu -> node.Graph.id :: accu) env.graph []
+  Graph.fold (fun node accu -> Graph.id env.graph node :: accu) env.graph []
 
 let assert_no_effective_conflict env ~txns =
   List.iter
     (fun id ->
       let effective =
-        List.map (fun txn -> (txn, Protocol.effective_mode env.protocol ~txn id)) txns
+        List.map
+          (fun txn ->
+            (txn, Protocol.effective_mode env.protocol ~txn (Graph.node_exn env.graph id)))
+          txns
       in
       List.iter
         (fun (txn_a, mode_a) ->
@@ -552,7 +555,10 @@ let prop_random_acquires_never_hide_conflicts =
       List.iter
         (fun (txn, pick, mode) ->
           let id = nodes.(pick mod Array.length nodes) in
-          match Protocol.acquire env.protocol ~wait:false ~txn id mode with
+          match
+            Protocol.acquire env.protocol ~wait:false ~txn
+              (Graph.node_exn env.graph id) mode
+          with
           | Protocol.Acquired _ -> ()
           | Protocol.Blocked { acquired = _; _ } ->
             (* keep the prefix; that is legal 2PL behaviour *)

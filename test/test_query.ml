@@ -229,7 +229,9 @@ let test_executor_q2_locks_match_figure7 () =
   (match result.Query.Executor.rows with
    | [ { Query.Executor.node; _ } ] ->
      check_string "row node" "db1/seg1/cells/c1/robots/r1"
-       (Node_id.to_resource node)
+       (Colock.Instance_graph.resource
+          (Colock.Protocol.graph (Query.Executor.protocol env.executor))
+          node)
    | _ -> Alcotest.fail "one row");
   check_mode "db1 IX" Mode.IX (held env ~txn:2 "db1");
   check_mode "r1 X" Mode.X (held env ~txn:2 "db1/seg1/cells/c1/robots/r1");

@@ -83,7 +83,7 @@ let test_deep_nested_scale () =
       let node =
         Option.get (Graph.object_node graph (Oid.make ~relation:"products" ~key))
       in
-      let steps = Protocol.plan protocol ~txn:1 node Mode.X in
+      let steps = Protocol.plan_node protocol ~txn:1 node Mode.X in
       check_bool (key ^ ": plan bounded") true (List.length steps <= 200);
       check_bool (key ^ ": propagation present") true
         (List.exists
@@ -111,8 +111,8 @@ let test_escalation_storm () =
   let table = Table.create () in
   let protocol = Protocol.create graph table in
   let c1 = Option.get (Graph.object_node graph (Oid.make ~relation:"cells" ~key:"c1")) in
-  let holu = Colock.Node_id.child c1 "c_objects" in
-  let members = (Graph.node_exn graph holu).Graph.children in
+  let holu = Option.get (Graph.member_node graph c1 "c_objects") in
+  let members = Graph.children graph holu in
   for txn = 1 to 30 do
     List.iter
       (fun member ->

@@ -29,6 +29,11 @@ let make_env () =
   { db; graph; table; rights; manager = Txn.Txn_manager.create protocol }
 
 let node steps = Option.get (Node_id.of_steps steps)
+
+(* [Txn_manager.acquire] on the node at a path of the manager's graph. *)
+let acquire manager txn ?duration id mode =
+  let graph = Colock.Protocol.graph (Txn.Txn_manager.protocol manager) in
+  Txn.Txn_manager.acquire manager txn ?duration (Graph.node_exn graph id) mode
 let cell_c1 = node [ "db1"; "seg1"; "cells"; "c1" ]
 let robot_r1 = node [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r1" ]
 let robot_r2 = node [ "db1"; "seg1"; "cells"; "c1"; "robots"; "r2" ]
@@ -45,7 +50,7 @@ let test_begin_ids_monotonic () =
 let test_acquire_commit_cycle () =
   let env = make_env () in
   let t1 = Txn.Txn_manager.begin_txn env.manager in
-  (match Txn.Txn_manager.acquire env.manager t1 cell_c1 Mode.X with
+  (match acquire env.manager t1 cell_c1 Mode.X with
    | Txn.Txn_manager.Granted -> ()
    | _ -> Alcotest.fail "grant expected");
   let (_ : Table.grant list) = Txn.Txn_manager.commit env.manager t1 in
@@ -60,7 +65,7 @@ let test_finished_txns_forgotten () =
   let last = ref [] in
   for cycle = 1 to 10_000 do
     let committed = Txn.Txn_manager.begin_txn manager in
-    (match Txn.Txn_manager.acquire manager committed robot_r1 Mode.X with
+    (match acquire manager committed robot_r1 Mode.X with
      | Txn.Txn_manager.Granted -> ()
      | _ -> Alcotest.fail "uncontended grant expected");
     let (_ : Table.grant list) = Txn.Txn_manager.commit manager committed in
@@ -85,7 +90,7 @@ let test_acquire_after_finish_rejected () =
   let env = make_env () in
   let t1 = Txn.Txn_manager.begin_txn env.manager in
   let (_ : Table.grant list) = Txn.Txn_manager.commit env.manager t1 in
-  match Txn.Txn_manager.acquire env.manager t1 cell_c1 Mode.S with
+  match acquire env.manager t1 cell_c1 Mode.S with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "finished transactions cannot acquire"
 
@@ -93,10 +98,10 @@ let test_waiting_and_unblock () =
   let env = make_env () in
   let t1 = Txn.Txn_manager.begin_txn env.manager in
   let t2 = Txn.Txn_manager.begin_txn env.manager in
-  (match Txn.Txn_manager.acquire env.manager t1 cell_c1 Mode.X with
+  (match acquire env.manager t1 cell_c1 Mode.X with
    | Txn.Txn_manager.Granted -> ()
    | _ -> Alcotest.fail "t1 grant");
-  (match Txn.Txn_manager.acquire env.manager t2 cell_c1 Mode.S with
+  (match acquire env.manager t2 cell_c1 Mode.S with
    | Txn.Txn_manager.Waiting _ -> ()
    | _ -> Alcotest.fail "t2 should wait");
   check_bool "t2 waiting" true
@@ -107,7 +112,7 @@ let test_waiting_and_unblock () =
   check_bool "the commit woke t2" true
     (t2.Txn.Transaction.status = Txn.Transaction.Active);
   (* retry completes the plan *)
-  match Txn.Txn_manager.acquire env.manager t2 cell_c1 Mode.S with
+  match acquire env.manager t2 cell_c1 Mode.S with
   | Txn.Txn_manager.Granted -> ()
   | _ -> Alcotest.fail "retry should succeed"
 
@@ -118,24 +123,24 @@ let test_deadlock_youngest_dies () =
   Authz.Rights.set_relation_default env.rights ~relation:"effectors" false;
   let t1 = Txn.Txn_manager.begin_txn env.manager in
   let t2 = Txn.Txn_manager.begin_txn env.manager in
-  (match Txn.Txn_manager.acquire env.manager t1 robot_r1 Mode.X with
+  (match acquire env.manager t1 robot_r1 Mode.X with
    | Txn.Txn_manager.Granted -> ()
    | _ -> Alcotest.fail "t1 r1");
-  (match Txn.Txn_manager.acquire env.manager t2 robot_r2 Mode.X with
+  (match acquire env.manager t2 robot_r2 Mode.X with
    | Txn.Txn_manager.Granted -> ()
    | _ -> Alcotest.fail "t2 r2");
-  (match Txn.Txn_manager.acquire env.manager t1 robot_r2 Mode.X with
+  (match acquire env.manager t1 robot_r2 Mode.X with
    | Txn.Txn_manager.Waiting _ -> ()
    | _ -> Alcotest.fail "t1 waits for r2");
   (* t2 closing the cycle gets sacrificed (younger). *)
-  (match Txn.Txn_manager.acquire env.manager t2 robot_r1 Mode.X with
+  (match acquire env.manager t2 robot_r1 Mode.X with
    | Txn.Txn_manager.Deadlock_victim -> ()
    | _ -> Alcotest.fail "t2 must die");
   check_bool "t2 aborted" true
     (t2.Txn.Transaction.status
      = Txn.Transaction.Aborted Txn.Transaction.Deadlock_victim);
   (* t1 can now finish *)
-  match Txn.Txn_manager.acquire env.manager t1 robot_r2 Mode.X with
+  match acquire env.manager t1 robot_r2 Mode.X with
   | Txn.Txn_manager.Granted -> ()
   | _ -> Alcotest.fail "t1 proceeds after victim abort"
 
@@ -144,19 +149,19 @@ let test_victim_abort_grants_caller () =
   Authz.Rights.set_relation_default env.rights ~relation:"effectors" false;
   let t1 = Txn.Txn_manager.begin_txn env.manager in
   let t2 = Txn.Txn_manager.begin_txn env.manager in
-  (match Txn.Txn_manager.acquire env.manager t1 robot_r1 Mode.X with
+  (match acquire env.manager t1 robot_r1 Mode.X with
    | Txn.Txn_manager.Granted -> ()
    | _ -> Alcotest.fail "t1 r1");
-  (match Txn.Txn_manager.acquire env.manager t2 robot_r2 Mode.X with
+  (match acquire env.manager t2 robot_r2 Mode.X with
    | Txn.Txn_manager.Granted -> ()
    | _ -> Alcotest.fail "t2 r2");
-  (match Txn.Txn_manager.acquire env.manager t2 robot_r1 Mode.X with
+  (match acquire env.manager t2 robot_r1 Mode.X with
    | Txn.Txn_manager.Waiting _ -> ()
    | _ -> Alcotest.fail "t2 waits for r1");
   (* t1 closes the cycle but survives (t2 is younger). The victim's abort
      releases r2, whose grant satisfies this very request — the call must
      report the true outcome, not a stale wait. *)
-  (match Txn.Txn_manager.acquire env.manager t1 robot_r2 Mode.X with
+  (match acquire env.manager t1 robot_r2 Mode.X with
    | Txn.Txn_manager.Granted -> ()
    | Txn.Txn_manager.Waiting _ ->
      Alcotest.fail "stale Waiting after victim abort unblocked the caller"
@@ -183,11 +188,11 @@ let test_expire_timeouts () =
   in
   let t1 = Txn.Txn_manager.begin_txn manager in
   let t2 = Txn.Txn_manager.begin_txn manager in
-  (match Txn.Txn_manager.acquire manager t1 cell_c1 Mode.X with
+  (match acquire manager t1 cell_c1 Mode.X with
    | Txn.Txn_manager.Granted -> ()
    | _ -> Alcotest.fail "t1 grant");
   (* under Timeout there is no detection: even a conflict just waits *)
-  (match Txn.Txn_manager.acquire manager t2 cell_c1 Mode.S with
+  (match acquire manager t2 cell_c1 Mode.S with
    | Txn.Txn_manager.Waiting _ -> ()
    | _ -> Alcotest.fail "t2 should wait");
   check_int "nothing expired before the deadline" 0
@@ -205,7 +210,7 @@ let test_expire_timeouts () =
     (t1.Txn.Transaction.status = Txn.Transaction.Active);
   check_int "t2 holds nothing" 0
     (List.length (Table.locks_of table ~txn:t2.Txn.Transaction.id));
-  (match Txn.Txn_manager.acquire manager t2 cell_c1 Mode.S with
+  (match acquire manager t2 cell_c1 Mode.S with
    | Txn.Txn_manager.Deadlock_victim -> ()
    | _ -> Alcotest.fail "t2's re-call should report its death");
   check_int "no second expiry" 0
@@ -224,7 +229,7 @@ let timeout_env ?obs () =
     Txn.Txn_manager.create ~clock:(fun () -> !now) ?obs ~config protocol )
 
 let wait_on manager txn =
-  match Txn.Txn_manager.acquire manager txn cell_c1 Mode.S with
+  match acquire manager txn cell_c1 Mode.S with
   | Txn.Txn_manager.Waiting _ -> ()
   | _ -> Alcotest.fail "should wait"
 
@@ -236,7 +241,7 @@ let test_timeout_deadlines () =
   let t1 = Txn.Txn_manager.begin_txn manager in
   let t2 = Txn.Txn_manager.begin_txn manager in
   let t3 = Txn.Txn_manager.begin_txn manager in
-  (match Txn.Txn_manager.acquire manager t1 cell_c1 Mode.X with
+  (match acquire manager t1 cell_c1 Mode.X with
    | Txn.Txn_manager.Granted -> ()
    | _ -> Alcotest.fail "t1 grant");
   wait_on manager t2;
@@ -263,7 +268,7 @@ let test_timeout_grant_race () =
   let env, now, manager = timeout_env () in
   let t1 = Txn.Txn_manager.begin_txn manager in
   let t2 = Txn.Txn_manager.begin_txn manager in
-  (match Txn.Txn_manager.acquire manager t1 cell_c1 Mode.X with
+  (match acquire manager t1 cell_c1 Mode.X with
    | Txn.Txn_manager.Granted -> ()
    | _ -> Alcotest.fail "t1 grant");
   wait_on manager t2;
@@ -283,7 +288,7 @@ let test_timeout_survives_reissue () =
   let _env, now, manager = timeout_env ~obs:sink () in
   let t1 = Txn.Txn_manager.begin_txn manager in
   let t2 = Txn.Txn_manager.begin_txn manager in
-  (match Txn.Txn_manager.acquire manager t1 cell_c1 Mode.X with
+  (match acquire manager t1 cell_c1 Mode.X with
    | Txn.Txn_manager.Granted -> ()
    | _ -> Alcotest.fail "t1 grant");
   wait_on manager t2;
@@ -311,7 +316,7 @@ let test_timeout_survives_reissue () =
 let test_abort_releases_everything () =
   let env = make_env () in
   let t1 = Txn.Txn_manager.begin_txn env.manager in
-  (match Txn.Txn_manager.acquire env.manager t1 cell_c1 Mode.X with
+  (match acquire env.manager t1 cell_c1 Mode.X with
    | Txn.Txn_manager.Granted -> ()
    | _ -> Alcotest.fail "grant");
   let (_ : Table.grant list) = Txn.Txn_manager.abort env.manager t1 in
