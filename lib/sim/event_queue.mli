@@ -1,5 +1,12 @@
 (** A deterministic discrete-event queue: events fire in (time, insertion)
-    order. *)
+    order.
+
+    A binary min-heap on (time, sequence), where the sequence counts
+    schedules. Sequences are unique, so the order is total: the pops are
+    those of a sorted map on the same keys, ties in time broken first in,
+    first out. {!schedule} and {!pop} cost O(log n) comparisons of two ints
+    each and allocate one slot per event; a popped event is no longer
+    reachable from the queue. *)
 
 type 'event t
 

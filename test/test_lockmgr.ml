@@ -809,6 +809,320 @@ let prop_wait_flag_lockstep =
       in
       check [] ops)
 
+(* ------------------------------- Lockstep with the string-set table *)
+
+(* [Lock_table_oracle.Lock_table] is the table as it was while its
+   per-transaction index was a set of resource strings, copied verbatim. Both
+   tables run the same operations, traced through the same resolvers on a
+   fixed clock, and must agree on everything a caller can observe after every
+   one: what [withdraw] returns and emits depends on the order it visits a
+   transaction's resources in, so the resources below sort differently from
+   the order they are first locked in. *)
+module Oracle = Lock_table_oracle.Lock_table
+
+type oracle_op = Table_op of op | Set_meta of int
+
+let oracle_resources = [ "a"; "a/b"; "ab"; "a//b"; "b" ]
+
+(* Resolver [k]: a tag naming [k], or none for some resources, so both the
+   kept tag and the re-asked unresolved one are exercised. *)
+let resolver k resource =
+  if (k + String.length resource) mod 3 = 0 then None
+  else
+    Some
+      { Obs.Event.lu_kind = Printf.sprintf "R%d" k;
+        lu_depth = String.length resource }
+
+let oracle_op_to_string = function
+  | Table_op op -> op_to_string op
+  | Set_meta k -> Printf.sprintf "set_meta R%d" k
+
+let gen_oracle_op txns =
+  let open QCheck.Gen in
+  let txn = int_range 1 txns and resource = oneofl oracle_resources in
+  let mode = oneofl Mode.all in
+  let table_op op = Table_op op in
+  frequency
+    [ ( 8,
+        map3
+          (fun (txn, resource) (mode, long) wait ->
+            table_op
+              (Request
+                 { txn; resource; mode; wait;
+                   duration = (if long then Table.Long else Table.Short) }))
+          (pair txn resource) (pair mode bool) bool );
+      ( 2,
+        map2 (fun txn resource -> table_op (Release (txn, resource))) txn
+          resource );
+      ( 1,
+        map3
+          (fun txn resource mode -> table_op (Downgrade (txn, resource, mode)))
+          txn resource mode );
+      (1, map (fun txn -> table_op (Cancel_wait txn)) txn);
+      (1, map (fun txn -> table_op (Release_short txn)) txn);
+      (1, map (fun txn -> table_op (Release_all txn)) txn);
+      (1, map (fun k -> Set_meta k) (int_range 0 2)) ]
+
+type side = {
+  outcome : int list option;  (* [None] for a grant, else the blockers *)
+  grants : (int * string * Mode.t) list;
+  events : string list;
+  view : string list;
+}
+
+(* A traced table on a fixed clock, with the events since the last call. *)
+let recorder () =
+  let events = ref [] in
+  let sink =
+    Obs.Sink.create ~clock:(fun () -> 0.0)
+      [ (fun event ->
+          events := Obs.Json.to_string (Obs.Event.to_json event) :: !events) ]
+  in
+  let drain () =
+    let recorded = List.rev !events in
+    events := [];
+    recorded
+  in
+  (sink, drain)
+
+let show_stats (stats : Lockmgr.Lock_stats.t) =
+  String.concat " "
+    (List.map
+       (fun (name, value) -> Printf.sprintf "%s=%g" name value)
+       (Lockmgr.Lock_stats.row stats))
+
+let show_mode_list pairs =
+  String.concat ","
+    (List.map
+       (fun (key, mode) -> Printf.sprintf "%s:%s" key (Mode.to_string mode))
+       pairs)
+
+(* The two views are built by one function over the operations each table
+   answers, so a field cannot be compared on one side only. *)
+let view ~pp ~stats ~entry_count ~peak ~resources ~holders ~held ~locks_of
+    ~waiting_of ~edges ~depth ~waiters ~lu ~invariants txns =
+  let each_txn f = List.init txns (fun index -> f (index + 1)) in
+  [ Format.asprintf "%a" pp ();
+    show_stats stats;
+    Printf.sprintf "entries=%d peak=%d waiters=%d" entry_count peak waiters;
+    String.concat "," resources;
+    String.concat ";"
+      (List.map
+         (fun resource ->
+           Printf.sprintf "%s<-%s%s" resource
+             (show_mode_list
+                (List.map
+                   (fun (txn, mode) -> (string_of_int txn, mode))
+                   (holders resource)))
+             (match lu resource with
+              | None -> ""
+              | Some { Obs.Event.lu_kind; lu_depth } ->
+                Printf.sprintf "[%s/%d]" lu_kind lu_depth))
+         oracle_resources);
+    String.concat ";"
+      (each_txn (fun txn ->
+           Printf.sprintf "T%d held %s locks %s waits %s depth %d" txn
+             (show_mode_list
+                (List.map
+                   (fun resource -> (resource, held txn resource))
+                   oracle_resources))
+             (String.concat ","
+                (List.map
+                   (fun (resource, mode, long) ->
+                     Printf.sprintf "%s:%s%s" resource (Mode.to_string mode)
+                       (if long then "(long)" else ""))
+                   (locks_of txn)))
+             (show_mode_list (waiting_of txn))
+             (depth txn)));
+    String.concat ","
+      (List.map (fun (waiter, blocker) -> Printf.sprintf "%d>%d" waiter blocker)
+         edges);
+    String.concat "; " invariants ]
+
+let table_view table txns =
+  view
+    ~pp:(fun formatter () -> Table.pp formatter table)
+    ~stats:(Table.stats table) ~entry_count:(Table.entry_count table)
+    ~peak:(Table.peak_entry_count table) ~resources:(Table.resources table)
+    ~holders:(fun resource -> Table.holders table ~resource)
+    ~held:(fun txn resource -> Table.held table ~txn ~resource)
+    ~locks_of:(fun txn ->
+      List.map
+        (fun (resource, mode, duration) ->
+          (resource, mode, duration = Table.Long))
+        (Table.locks_of table ~txn))
+    ~waiting_of:(fun txn -> Table.waiting_of table ~txn)
+    ~edges:(Table.waits_for_edges table)
+    ~depth:(fun txn -> Table.wait_depth table ~txn)
+    ~waiters:(Table.waiter_count table) ~lu:(Table.resource_lu table)
+    ~invariants:(Table.check_invariants table) txns
+
+let oracle_view table txns =
+  view
+    ~pp:(fun formatter () -> Oracle.pp formatter table)
+    ~stats:(Oracle.stats table) ~entry_count:(Oracle.entry_count table)
+    ~peak:(Oracle.peak_entry_count table) ~resources:(Oracle.resources table)
+    ~holders:(fun resource -> Oracle.holders table ~resource)
+    ~held:(fun txn resource -> Oracle.held table ~txn ~resource)
+    ~locks_of:(fun txn ->
+      List.map
+        (fun (resource, mode, duration) ->
+          (resource, mode, duration = Oracle.Long))
+        (Oracle.locks_of table ~txn))
+    ~waiting_of:(fun txn -> Oracle.waiting_of table ~txn)
+    ~edges:(Oracle.waits_for_edges table)
+    ~depth:(fun txn -> Oracle.wait_depth table ~txn)
+    ~waiters:(Oracle.waiter_count table) ~lu:(Oracle.resource_lu table)
+    ~invariants:(Oracle.check_invariants table) txns
+
+let table_step table drain txns op =
+  let grants granted =
+    List.map
+      (fun { Table.g_txn; g_resource; g_mode } -> (g_txn, g_resource, g_mode))
+      granted
+  in
+  let outcome, granted =
+    match op with
+    | Set_meta k ->
+      Table.set_meta table (resolver k);
+      (None, [])
+    | Table_op (Request { txn; resource; mode; duration; wait }) -> (
+      match Table.request table ~txn ~wait ~duration ~resource mode with
+      | Table.Granted -> (None, [])
+      | Table.Waiting blockers -> (Some blockers, []))
+    | Table_op (Release (txn, resource)) ->
+      (None, grants (Table.release table ~txn ~resource))
+    | Table_op (Downgrade (txn, resource, mode)) ->
+      (None, grants (Table.downgrade table ~txn ~resource mode))
+    | Table_op (Cancel_wait txn) ->
+      (None, grants (Table.cancel_wait table ~txn))
+    | Table_op (Release_short txn) ->
+      (None, grants (Table.release_short table ~txn))
+    | Table_op (Release_all txn) ->
+      (None, grants (Table.release_all table ~txn))
+  in
+  { outcome; grants = granted; events = drain (); view = table_view table txns }
+
+let oracle_step table drain txns op =
+  let grants granted =
+    List.map
+      (fun { Oracle.g_txn; g_resource; g_mode } -> (g_txn, g_resource, g_mode))
+      granted
+  in
+  let outcome, granted =
+    match op with
+    | Set_meta k ->
+      Oracle.set_meta table (resolver k);
+      (None, [])
+    | Table_op (Request { txn; resource; mode; duration; wait }) -> (
+      let duration =
+        match duration with
+        | Table.Long -> Oracle.Long
+        | Table.Short -> Oracle.Short
+      in
+      match Oracle.request table ~txn ~wait ~duration ~resource mode with
+      | Oracle.Granted -> (None, [])
+      | Oracle.Waiting blockers -> (Some blockers, []))
+    | Table_op (Release (txn, resource)) ->
+      (None, grants (Oracle.release table ~txn ~resource))
+    | Table_op (Downgrade (txn, resource, mode)) ->
+      (None, grants (Oracle.downgrade table ~txn ~resource mode))
+    | Table_op (Cancel_wait txn) ->
+      (None, grants (Oracle.cancel_wait table ~txn))
+    | Table_op (Release_short txn) ->
+      (None, grants (Oracle.release_short table ~txn))
+    | Table_op (Release_all txn) ->
+      (None, grants (Oracle.release_all table ~txn))
+  in
+  { outcome; grants = granted; events = drain ();
+    view = oracle_view table txns }
+
+let prop_oracle_lockstep =
+  QCheck.Test.make ~count:400
+    ~name:"lockstep with the string-set table: outcomes, grants, events, state"
+    (QCheck.make
+       ~print:(fun (txns, ops) ->
+         Printf.sprintf "%d txn(s): %s" txns
+           (String.concat "; " (List.map oracle_op_to_string ops)))
+       QCheck.Gen.(
+         int_range 1 6 >>= fun txns ->
+         map (fun ops -> (txns, ops))
+           (list_size (int_range 1 60) (gen_oracle_op txns))))
+    (fun (txns, ops) ->
+      let sink, drain = recorder ()
+      and oracle_sink, oracle_drain = recorder () in
+      let table = Table.create ~obs:sink ~meta:(resolver 0) () in
+      let oracle = Oracle.create ~obs:oracle_sink ~meta:(resolver 0) () in
+      List.for_all
+        (fun op ->
+          let live = table_step table drain txns op
+          and expected = oracle_step oracle oracle_drain txns op in
+          live = expected
+          || QCheck.Test.fail_reportf
+               "diverged at %s@.live:@.%s@.expected:@.%s"
+               (oracle_op_to_string op)
+               (String.concat "\n" (live.events @ live.view))
+               (String.concat "\n" (expected.events @ expected.view)))
+        ops)
+
+(* The tag is resolved once per entry, at its first traced event; a new
+   resolver takes over at the next event, held locks included. *)
+let test_table_tag_resolved_once () =
+  let calls = ref 0 in
+  let tagging kind _resource =
+    incr calls;
+    Some { Obs.Event.lu_kind = kind; lu_depth = 1 }
+  in
+  let released = ref [] in
+  let sink =
+    Obs.Sink.create
+      [ (fun event ->
+          match event.Obs.Event.kind with
+          | Obs.Event.Lock_released { txn; lu; _ } ->
+            let kind = Option.map (fun lu -> lu.Obs.Event.lu_kind) lu in
+            released := (txn, kind) :: !released
+          | _ -> ()) ]
+  in
+  let table = Table.create ~obs:sink ~meta:(tagging "old") () in
+  let granted outcome = check_bool "granted" true (outcome = Table.Granted) in
+  granted (Table.request table ~txn:1 ~resource:"r" Mode.S);
+  granted (Table.request table ~txn:2 ~resource:"r" Mode.S);
+  check_bool "T3 waits" false
+    (Table.request table ~txn:3 ~resource:"r" Mode.X = Table.Granted);
+  check_int "one resolution for every event on the entry" 1 !calls;
+  Table.set_meta table (tagging "new");
+  ignore (Table.release table ~txn:1 ~resource:"r" : Table.grant list);
+  ignore (Table.release_all table ~txn:2 : Table.grant list);
+  check_int "the new resolver asked once" 2 !calls;
+  Alcotest.(check (list (pair int (option string))))
+    "held locks report the new tag"
+    [ (1, Some "new"); (2, Some "new") ]
+    (List.rev !released)
+
+(* A resource without a tag yet (a node locked by name before it exists) is
+   resolved again at its next event, and keeps the tag once it has one. *)
+let test_table_untagged_resource_asks_again () =
+  let exists = ref false and calls = ref 0 in
+  let meta _resource =
+    incr calls;
+    if !exists then Some { Obs.Event.lu_kind = "BLU"; lu_depth = 4 } else None
+  in
+  let tags = ref [] in
+  let sink =
+    Obs.Sink.create
+      [ (fun event -> tags := Obs.Event.lu_of event.Obs.Event.kind :: !tags) ]
+  in
+  let table = Table.create ~obs:sink ~meta () in
+  ignore (Table.request table ~txn:1 ~resource:"rel/k9" Mode.X : Table.outcome);
+  exists := true;
+  ignore (Table.request table ~txn:1 ~resource:"rel/k9" Mode.X : Table.outcome);
+  ignore (Table.release_all table ~txn:1 : Table.grant list);
+  Alcotest.(check (list (option string)))
+    "untagged until the node exists"
+    [ None; None; Some "BLU"; Some "BLU"; Some "BLU" ]
+    (List.rev_map (Option.map (fun lu -> lu.Obs.Event.lu_kind)) !tags);
+  check_int "asked until resolved, then kept" 3 !calls
+
 (* ------------------------------------------------------------ wait_depth *)
 
 (* [Table.wait_depth] before memoisation: every path, an edge back into the
@@ -902,7 +1216,8 @@ let () =
       ("lock_mode_properties", qcheck_cases);
       ( "lock_table_properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_wait_flag_lockstep; prop_wait_depth_matches_oracle ] );
+          [ prop_wait_flag_lockstep; prop_wait_depth_matches_oracle;
+            prop_oracle_lockstep ] );
       ("lock_table",
        [ Alcotest.test_case "grant and conflict" `Quick
            test_table_grant_and_conflict;
@@ -936,7 +1251,11 @@ let () =
          Alcotest.test_case "waits_for edges" `Quick
            test_table_waits_for_edges;
          Alcotest.test_case "untraced does no event work" `Quick
-           test_table_untraced_does_no_event_work ]);
+           test_table_untraced_does_no_event_work;
+         Alcotest.test_case "tag resolved once per entry" `Quick
+           test_table_tag_resolved_once;
+         Alcotest.test_case "untagged resource asks again" `Quick
+           test_table_untagged_resource_asks_again ]);
       ("deadlock",
        [ Alcotest.test_case "simple cycle" `Quick test_deadlock_simple_cycle;
          Alcotest.test_case "no cycle" `Quick test_deadlock_no_cycle;

@@ -34,6 +34,49 @@ let test_event_queue_order () =
     (List.init 3 (fun _ -> Option.get (Sim.Event_queue.pop queue)));
   check_bool "empty" true (Sim.Event_queue.is_empty queue)
 
+(* Random interleavings of [schedule] and [pop], times drawn from a small
+   range so ties are common, against a list kept in (time, insertion)
+   order; [size] and [is_empty] agree after every operation. Long runs of
+   schedules make the heap deep enough to sift over several levels. *)
+let prop_event_queue_matches_sorted_list =
+  let op =
+    QCheck.Gen.(
+      frequency [ (3, map Option.some (int_range 0 7)); (2, return None) ])
+  in
+  QCheck.Test.make ~count:300 ~name:"pops in (time, insertion) order"
+    (QCheck.make
+       ~print:(fun ops ->
+         String.concat " "
+           (List.map
+              (function Some time -> string_of_int time | None -> "pop")
+              ops))
+       QCheck.Gen.(list_size (int_range 0 300) op))
+    (fun ops ->
+      let queue = Sim.Event_queue.create () in
+      (* the reference: (time, insertion) pairs, earliest first *)
+      let pending = ref [] and inserted = ref 0 in
+      List.for_all
+        (fun op ->
+          let agrees =
+            match op with
+            | Some time ->
+              incr inserted;
+              Sim.Event_queue.schedule queue ~time !inserted;
+              pending := List.merge compare !pending [ (time, !inserted) ];
+              true
+            | None -> (
+              match Sim.Event_queue.pop queue, !pending with
+              | None, [] -> true
+              | Some popped, expected :: rest ->
+                pending := rest;
+                popped = expected
+              | Some _, [] | None, _ :: _ -> false)
+          in
+          agrees
+          && Sim.Event_queue.size queue = List.length !pending
+          && Sim.Event_queue.is_empty queue = (!pending = []))
+        ops)
+
 (* ----------------------------------------------------------------- Runner *)
 
 let test_runner_single_job () =
@@ -512,7 +555,8 @@ let test_rule4_prime_beats_rule4_under_authz () =
 let () =
   Alcotest.run "sim"
     [ ("event_queue",
-       [ Alcotest.test_case "order" `Quick test_event_queue_order ]);
+       [ Alcotest.test_case "order" `Quick test_event_queue_order;
+         QCheck_alcotest.to_alcotest prop_event_queue_matches_sorted_list ]);
       ("runner",
        [ Alcotest.test_case "single job" `Quick test_runner_single_job;
          Alcotest.test_case "serializes conflicts" `Quick
