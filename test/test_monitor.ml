@@ -199,17 +199,17 @@ let status_of response =
 
 let test_http_serves_and_routes () =
   let server =
-    Obs.Http.start ~port:0 (fun path ->
+    Obs_http.start ~port:0 (fun path ->
         if String.equal path "/metrics" then
           Some
-            { Obs.Http.status = 200; content_type = Obs.Expo.content_type;
+            { Obs_http.status = 200; content_type = Obs.Expo.content_type;
               body = "colock_up 1\n" }
         else None)
   in
   Fun.protect
-    ~finally:(fun () -> Obs.Http.stop server)
+    ~finally:(fun () -> Obs_http.stop server)
     (fun () ->
-      let port = Obs.Http.port server in
+      let port = Obs_http.port server in
       check_bool "ephemeral port bound" true (port > 0);
       let response = http_get ~port "/metrics" in
       check_int "metrics route" 200 (status_of response);
