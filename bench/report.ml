@@ -8,10 +8,6 @@
    Downstream tooling can diff these across commits without scraping the
    human tables. *)
 
-module Table = Lockmgr.Lock_table
-module Graph = Colock.Instance_graph
-module Protocol = Colock.Protocol
-
 (* Stable per-experiment seed: "E5" -> 5. *)
 let seed_of_experiment name =
   let digits = String.to_seq name |> Seq.filter (fun c -> c >= '0' && c <= '9') in
@@ -19,46 +15,28 @@ let seed_of_experiment name =
   | "" -> 17
   | text -> int_of_string text
 
-let reference_metrics ~seed =
-  let db =
-    Workload.Generator.manufacturing
+let reference_row ~seed =
+  let graph, specs =
+    Bench.Run.manufacturing
       { Workload.Generator.default_manufacturing with cells = 6; seed }
+      { Sim.Scenario.default_mix with jobs = 40; seed }
   in
-  let graph = Graph.build db in
-  let mix = { Sim.Scenario.default_mix with jobs = 40; seed } in
-  let specs = Sim.Scenario.manufacturing_mix db graph mix in
   let collector = Obs.Collector.create () in
-  let sink = Obs.Sink.create [ Obs.Collector.handle collector ] in
-  let table = Table.create ~obs:sink () in
-  let protocol = Protocol.create graph table in
-  let jobs = Sim.Scenario.compile graph (Sim.Scenario.Proposed protocol) specs in
-  let metrics = Sim.Runner.run ~table jobs in
-  (metrics, table, collector)
+  let run =
+    Bench.Run.setup
+      ~obs:(Some (Obs.Sink.create [ Obs.Collector.handle collector ]))
+      graph Workload.Dsl.Proposed specs
+  in
+  let metrics = Sim.Runner.run ~table:run.table run.jobs in
+  Bench.Run.row run metrics collector
 
 let write ~experiment () =
-  let metrics, table, collector =
-    reference_metrics ~seed:(seed_of_experiment experiment)
-  in
-  let row =
-    Sim.Metrics.row metrics
-    @ List.map
-        (fun (key, value) -> ("lock." ^ key, value))
-        (Lockmgr.Lock_stats.row (Table.stats table))
-    @ Obs.Registry.row (Obs.Collector.registry collector)
-  in
-  let json =
-    Obs.Json.Obj
-      (("experiment", Obs.Json.String experiment)
-       :: List.map (fun (key, value) -> (key, Obs.Json.Float value)) row)
-  in
-  let path = Printf.sprintf "BENCH_%s.json" experiment in
-  let channel = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out channel)
-    (fun () ->
-      Obs.Json.output channel json;
-      output_char channel '\n');
-  Printf.printf "wrote %s\n" path;
+  let row = reference_row ~seed:(seed_of_experiment experiment) in
+  Harness.write_json
+    (Printf.sprintf "BENCH_%s.json" experiment)
+    (Obs.Json.Obj
+       (("experiment", Obs.Json.String experiment)
+        :: List.map (fun (key, value) -> (key, Obs.Json.Float value)) row));
   (* the headline numbers also land in the append-only trajectory store,
      so `colock trends` can plot them across commits *)
   let headline =
