@@ -36,18 +36,6 @@ val measure :
 val collect : Workload.Dsl.t list -> t
 (** {!measure} over every scenario × its listed techniques, in order. *)
 
-val measure_traced :
-  Nf2.Database.t ->
-  Colock.Instance_graph.t ->
-  Workload.Dsl.t ->
-  Workload.Dsl.technique ->
-  run * Obs.Event.t list
-(** {!measure} with a full event capture riding along: the same
-    deterministic run, plus every lock event it emitted, ready for
-    {!Obs.Profile.of_events} / {!Obs.Diff} attribution. [colock bench diff
-    --explain] uses this to re-run regressed pairs and explain {e where}
-    the regression lives, not just that it exists. *)
-
 val to_json : t -> Obs.Json.t
 val of_json : Obs.Json.t -> (t, string) result
 
