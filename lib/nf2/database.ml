@@ -73,28 +73,19 @@ let insert db name value =
         Ok oid
       | Error _ as error -> error)
 
-(* [replace] needs the old value before overwriting, so stale index entries
-   can be removed first. *)
+(* The relation hands back the version it replaced, so each index moves
+   only the entries the replace changed. *)
 let replace db name value =
   with_relation db name (fun store ->
-      let key_before =
-        Value.key_of_object (Relation.schema store) value
-      in
-      let old_value =
-        match key_before with
-        | Some key -> Relation.find store key
-        | None -> None
-      in
       match lift_relation_result (Relation.replace store value) with
       | Error _ as error -> error
-      | Ok oid ->
+      | Ok (oid, before) ->
+        let key = Oid.key oid in
         List.iter
           (fun index ->
-            (match old_value with
-             | Some old_value ->
-               Index.remove_entries index ~key:(Oid.key oid) old_value
-             | None -> ());
-            Index.insert_entries index ~key:(Oid.key oid) value)
+            match before with
+            | Some before -> Index.replace_entries index ~key ~before value
+            | None -> Index.insert_entries index ~key value)
           (indexes_of db name);
         Ok oid)
 

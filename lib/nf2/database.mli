@@ -26,7 +26,16 @@ val relations : t -> Relation.t list
 (** Sorted by name. *)
 
 val insert : t -> string -> Value.t -> (Oid.t, error) result
+
 val replace : t -> string -> Value.t -> (Oid.t, error) result
+(** {!Relation.replace}, then index upkeep. A replace keeps the key: the
+    version it replaces is the one stored under the new value's key, and a
+    caller that changes a key must refuse the write itself. The relation
+    hands back that version, so the stored object is looked up once and
+    the value is checked against it ({!Value.typecheck_replacement}). An
+    index whose renderings are equal before and after is left alone
+    ({!Index.replace_entries}). *)
+
 val delete : t -> Oid.t -> (unit, error) result
 
 val deref : t -> Oid.t -> Value.t option

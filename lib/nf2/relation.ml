@@ -8,6 +8,7 @@ type error =
   | No_key of string
   | Duplicate_key of string
   | Unknown_key of string
+  | Key_changed of { key : string; changed_to : string }
 
 let pp_error formatter = function
   | Schema_error schema_error ->
@@ -18,6 +19,9 @@ let pp_error formatter = function
     Format.fprintf formatter "object for %s has no renderable key" relation
   | Duplicate_key key -> Format.fprintf formatter "duplicate key %S" key
   | Unknown_key key -> Format.fprintf formatter "unknown key %S" key
+  | Key_changed { key; changed_to } ->
+    Format.fprintf formatter "an update may not change key %S to %S" key
+      changed_to
 
 let create schema =
   match Schema.validate schema with
@@ -45,12 +49,27 @@ let insert rel value =
       Ok (Oid.make ~relation:(name rel) ~key)
     end
 
+(* The value's key names the version it replaces, found once. The value is
+   checked against that version, so only what changed is walked, and the
+   check returns what the full check of [checked_key] returns. *)
 let replace rel value =
-  match checked_key rel value with
-  | Error _ as error -> error
-  | Ok key ->
+  let key = Value.key_of_object rel.schema value in
+  let stored =
+    match key with
+    | Some key -> String_map.find_opt key rel.tuples
+    | None -> None
+  in
+  let checked =
+    match stored with
+    | Some stored -> Value.typecheck_replacement rel.schema ~stored value
+    | None -> Value.typecheck_object rel.schema value
+  in
+  match checked, key with
+  | Error type_error, _ -> Error (Type_error type_error)
+  | Ok (), None -> Error (No_key rel.schema.Schema.rel_name)
+  | Ok (), Some key ->
     rel.tuples <- String_map.add key value rel.tuples;
-    Ok (Oid.make ~relation:(name rel) ~key)
+    Ok (Oid.make ~relation:(name rel) ~key, stored)
 
 let delete rel key =
   if String_map.mem key rel.tuples then begin

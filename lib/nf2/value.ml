@@ -41,10 +41,35 @@ let pp_type_error formatter { at; expected; found } =
   Format.fprintf formatter "at %a: expected %a, found %a" Path.pp at
     Schema.pp_attr_type expected pp found
 
-let typecheck attr value =
-  let ( let* ) = Result.bind in
-  let mismatch at expected found = Error { at; expected; found } in
-  let rec check path attr value =
+(* The one conformance walk, shared by the full check and the replacement
+   check. [stored] is the version of [value] the store holds at the same
+   position of the schema, and conforms to [attr]: stored values are
+   immutable and were checked when stored, so a subtree of [value]
+   physically equal to its stored counterpart conforms too and is not
+   walked. Where there is no stored counterpart the walk pairs [value] with
+   [absent], which no caller can hold, so nothing is skipped. Skipped
+   subtrees hold no mismatch, so the walk finds the same first mismatch in
+   the same order as a full walk.
+
+   It allocates only on a mismatch: the error starts at the mismatching
+   value with an empty path, and each tuple on the way back up prepends
+   its field. *)
+let absent = Str (String.make 1 '\000')
+
+let mismatch expected found = Error { at = Path.root; expected; found }
+
+let below field = function
+  | Ok () as ok -> ok
+  | Error error ->
+    Error { error with at = Path.of_list (field :: Path.to_list error.at) }
+
+let first = function stored :: _ -> stored | [] -> absent
+let first_bound = function (_, stored) :: _ -> stored | [] -> absent
+let after = function _ :: rest -> rest | [] -> []
+
+let rec conform attr stored value =
+  if value == stored then Ok ()
+  else
     match attr, value with
     | Schema.Atomic Schema.Str, Str _
     | Schema.Atomic Schema.Int, Int _
@@ -53,38 +78,61 @@ let typecheck attr value =
       Ok ()
     | Schema.Atomic (Schema.Ref target), Ref oid ->
       if String.equal (Oid.relation oid) target then Ok ()
-      else mismatch path attr value
-    | Schema.Set inner, Set members | Schema.List inner, List members ->
-      List.fold_left
-        (fun accu member ->
-          let* () = accu in
-          check path inner member)
-        (Ok ()) members
-    | Schema.Tuple fields, Tuple bindings ->
-      let rec check_fields fields bindings =
-        match fields, bindings with
-        | [], [] -> Ok ()
-        | { Schema.field_name; field_type } :: fields_rest,
-          (bound_name, bound_value) :: bindings_rest ->
-          if not (String.equal field_name bound_name) then
-            mismatch path attr value
-          else
-            let* () = check (Path.child path field_name) field_type bound_value in
-            check_fields fields_rest bindings_rest
-        | _ :: _, [] | [], _ :: _ -> mismatch path attr value
-      in
-      check_fields fields bindings
+      else mismatch attr value
+    | Schema.Set inner, Set members | Schema.List inner, List members -> (
+      match stored with
+      | Set stored_members | List stored_members ->
+        conform_members inner stored_members members
+      | Str _ | Int _ | Real _ | Bool _ | Ref _ | Tuple _ ->
+        conform_members inner [] members)
+    | Schema.Tuple fields, Tuple bindings -> (
+      match stored with
+      | Tuple stored_bindings ->
+        conform_fields attr value fields stored_bindings bindings
+      | Str _ | Int _ | Real _ | Bool _ | Ref _ | Set _ | List _ ->
+        conform_fields attr value fields [] bindings)
     | Schema.Atomic _, (Str _ | Int _ | Real _ | Bool _ | Ref _ | Set _ | List _ | Tuple _)
     | Schema.Set _, (Str _ | Int _ | Real _ | Bool _ | Ref _ | List _ | Tuple _)
     | Schema.List _, (Str _ | Int _ | Real _ | Bool _ | Ref _ | Set _ | Tuple _)
     | Schema.Tuple _, (Str _ | Int _ | Real _ | Bool _ | Ref _ | Set _ | List _)
       ->
-      mismatch path attr value
-  in
-  check Path.root attr value
+      mismatch attr value
+
+(* Members pair with the stored members by position, and fields with the
+   stored bindings: a conforming stored tuple binds exactly the schema's
+   fields, in order. A misnamed field or a missing or extra binding is a
+   mismatch of the whole tuple. *)
+and conform_members inner stored members =
+  if members == stored then Ok ()
+  else
+    match members with
+    | [] -> Ok ()
+    | member :: rest -> (
+      match conform inner (first stored) member with
+      | Ok () -> conform_members inner (after stored) rest
+      | Error _ as error -> error)
+
+and conform_fields attr value fields stored bindings =
+  match fields, bindings with
+  | [], [] -> Ok ()
+  | { Schema.field_name; field_type } :: fields_rest,
+    (bound_name, bound_value) :: bindings_rest -> (
+    if not (String.equal field_name bound_name) then mismatch attr value
+    else
+      match
+        below field_name (conform field_type (first_bound stored) bound_value)
+      with
+      | Ok () -> conform_fields attr value fields_rest (after stored) bindings_rest
+      | Error _ as error -> error)
+  | _ :: _, [] | [], _ :: _ -> mismatch attr value
+
+let typecheck attr value = conform attr absent value
 
 let typecheck_object rel value =
   typecheck (Schema.Tuple rel.Schema.fields) value
+
+let typecheck_replacement rel ~stored value =
+  conform (Schema.Tuple rel.Schema.fields) stored value
 
 let field value name =
   match value with

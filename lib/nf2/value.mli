@@ -29,7 +29,24 @@ val typecheck : Schema.attr_type -> t -> (unit, type_error) result
     provide exactly the schema's fields, in schema order. *)
 
 val typecheck_object : Schema.relation -> t -> (unit, type_error) result
-(** Conformance of a complex object (one top-level tuple) to its relation. *)
+(** Conformance of a complex object (one top-level tuple) to its relation.
+    Walks the whole value; inserts use it. *)
+
+val typecheck_replacement :
+  Schema.relation -> stored:t -> t -> (unit, type_error) result
+(** [typecheck_replacement rel ~stored value] is [typecheck_object rel value]
+    for a value that replaces [stored], which must conform to [rel] (a
+    version the store holds: stored values are immutable and were checked
+    when stored). It walks [value] and [stored] in lockstep — fields by
+    position, members by position — and skips every subtree of [value]
+    physically equal ([==]) to its counterpart, which therefore conforms.
+    The skipped subtrees hold no mismatch, so the result, [Ok] or the first
+    [type_error] with its path, is exactly the full check's. An update that
+    rebuilds one path of an object walks that path and compares pointers
+    beside it.
+
+    {!typecheck}, {!typecheck_object} and this share one walk. It allocates
+    nothing unless it finds a mismatch. *)
 
 val key_of_object : Schema.relation -> t -> string option
 (** Rendered key value of a complex object, e.g. ["c1"]; [None] when the value

@@ -97,31 +97,13 @@ let rec resolve_pairs graph ((node : Graph.node), value) steps =
     | (Colock.Lockable.Blu | Colock.Lockable.Helu | Colock.Lockable.Holu), _ ->
       [])
 
-(* Members of the collections at [path]; for [path = root], the object
-   itself forms the single "member". *)
-let member_pairs graph (object_node, object_value) path =
-  if Path.equal path Path.root then [ (object_node, object_value) ]
-  else
-    let holus = resolve_pairs graph (object_node, object_value) (Path.to_list path) in
-    List.concat_map
-      (fun ((holu : Graph.node), holu_value) ->
-        match holu.kind, holu_value with
-        | Colock.Lockable.Holu, (Value.Set members | Value.List members) ->
-          List.combine (Graph.children graph holu) members
-        | (Colock.Lockable.Blu | Colock.Lockable.Helu | Colock.Lockable.Holu), _
-          ->
-          (* selecting from a non-collection path yields the value itself *)
-          [ (holu, holu_value) ])
-      holus
-
-let literal_matches literal value = Value.equal (Ast.literal_to_value literal) value
-
-(* Existential semantics: the object qualifies if every condition is
-   satisfied by at least one value reached by its path. *)
-let object_qualifies object_value conditions =
+(* Existential semantics: a value satisfies the conditions if each one is
+   met by at least one value its path reaches. The literals were converted
+   to values once per statement. *)
+let satisfies conditions value =
   List.for_all
     (fun (path, literal) ->
-      List.exists (literal_matches literal) (Value.project object_value path))
+      List.exists (Value.equal literal) (Value.project value path))
     conditions
 
 (* Conditions strictly below the target path, re-rooted at the member. *)
@@ -144,11 +126,35 @@ let member_conditions target conditions =
       else None)
     conditions
 
-let member_matches relative_conditions member_value =
-  List.for_all
-    (fun (path, literal) ->
-      List.exists (literal_matches literal) (Value.project member_value path))
-    relative_conditions
+(* Adds to [rows] (most recent first) the object's members of the
+   collections at [path] that satisfy [conditions], pairing each instance
+   node with its member in one pass; for [path = root] the object itself is
+   the single member. *)
+let add_rows graph ~oid ~conditions path object_node object_value rows =
+  let add node value rows =
+    if satisfies conditions value then { oid; node; value } :: rows else rows
+  in
+  let rec add_members rows children members =
+    match children, members with
+    | [], [] -> rows
+    | child :: children, member :: members ->
+      add_members (add child member rows) children members
+    | [], _ :: _ | _ :: _, [] ->
+      invalid_arg "Executor: a collection and its instance nodes differ"
+  in
+  if Path.equal path Path.root then add object_node object_value rows
+  else
+    List.fold_left
+      (fun rows ((holu : Graph.node), holu_value) ->
+        match holu.kind, holu_value with
+        | Colock.Lockable.Holu, (Value.Set members | Value.List members) ->
+          add_members rows (Graph.children graph holu) members
+        | (Colock.Lockable.Blu | Colock.Lockable.Helu | Colock.Lockable.Holu), _
+          ->
+          (* selecting from a non-collection path yields the value itself *)
+          add holu holu_value rows)
+      rows
+      (resolve_pairs graph (object_node, object_value) (Path.to_list path))
 
 type lock_target = { lt_node : Graph.node; lt_mode : Mode.t }
 
@@ -189,8 +195,13 @@ let run executor ~txn ?(wait = true) ast =
     in
     let target = analysis.Analyzer.target in
     let mode = choice.Colock.Query_graph.mode in
+    let object_conditions =
+      List.map
+        (fun (path, literal) -> (path, Ast.literal_to_value literal))
+        analysis.Analyzer.object_conditions
+    in
     let relative_conditions =
-      member_conditions target.Analyzer.path analysis.Analyzer.object_conditions
+      member_conditions target.Analyzer.path object_conditions
     in
     let store =
       match Nf2.Database.relation executor.db target.Analyzer.relation with
@@ -201,14 +212,13 @@ let run executor ~txn ?(wait = true) ast =
        equality-condition path narrows the scan to its candidates. *)
     let index_candidates =
       List.find_map
-        (fun (path, literal) ->
+        (fun (path, value) ->
           Nf2.Database.index_lookup executor.db
-            ~relation:target.Analyzer.relation ~path
-            (Ast.literal_to_value literal))
-        analysis.Analyzer.object_conditions
+            ~relation:target.Analyzer.relation ~path value)
+        object_conditions
     in
     let qualify key value accu =
-      if object_qualifies value analysis.Analyzer.object_conditions then
+      if satisfies object_conditions value then
         let oid = Oid.make ~relation:target.Analyzer.relation ~key in
         match Graph.object_node graph oid with
         | Some node -> (oid, node, value) :: accu
@@ -229,13 +239,12 @@ let run executor ~txn ?(wait = true) ast =
     in
     (* Rows: the members the selected variable ranges over. *)
     let rows =
-      List.concat_map
-        (fun (oid, object_node, object_value) ->
-          member_pairs graph (object_node, object_value) target.Analyzer.path
-          |> List.filter (fun (_node, value) ->
-                 member_matches relative_conditions value)
-          |> List.map (fun (node, value) -> { oid; node; value }))
-        objects
+      List.rev
+        (List.fold_left
+           (fun rows (oid, object_node, object_value) ->
+             add_rows graph ~oid ~conditions:relative_conditions
+               target.Analyzer.path object_node object_value rows)
+           [] objects)
     in
     (* Lock targets, per the paper's placement rules. *)
     let lock_targets =
@@ -396,17 +405,27 @@ let apply_update executor ~txn row update =
       (fun child member -> if child == next then rebuild child member rest else member)
       (Graph.children graph node) members
   in
+  let relation = Oid.relation row.oid and key = Oid.key row.oid in
+  let store =
+    match Nf2.Database.relation executor.db relation with
+    | Some store -> store
+    | None -> invalid_arg "Executor.apply_update: relation disappeared"
+  in
   let store_value =
-    match Nf2.Database.deref executor.db row.oid with
+    match Nf2.Relation.find store key with
     | Some value -> value
     | None -> invalid_arg "Executor.apply_update: object disappeared"
   in
   let updated = rebuild object_node store_value (chain row.node []) in
-  match
-    Nf2.Database.replace executor.db (Oid.relation row.oid) updated
-  with
-  | Ok _oid ->
-    notify_write executor ~txn
-      (Wrote_replace { relation = Oid.relation row.oid; before = store_value });
-    Ok ()
-  | Error error -> Error error
+  (* the store replaces by the new value's key, so a rebuilt key would
+     write a second object beside the row's *)
+  match Value.key_of_object (Nf2.Relation.schema store) updated with
+  | Some changed_to when not (String.equal changed_to key) ->
+    Error
+      (Nf2.Database.Relation_error (Nf2.Relation.Key_changed { key; changed_to }))
+  | Some _ | None -> (
+    match Nf2.Database.replace executor.db relation updated with
+    | Ok _oid ->
+      notify_write executor ~txn (Wrote_replace { relation; before = store_value });
+      Ok ()
+    | Error error -> Error error)

@@ -99,7 +99,11 @@ val apply_update :
   (Nf2.Value.t -> Nf2.Value.t) ->
   (unit, Nf2.Database.error) result
 (** Replaces the row's selected sub-value inside its complex object and writes
-    the object back (typechecked). The caller must have run the query FOR
-    UPDATE, so the row's node is X-locked. The update must preserve
-    structure (member counts, reference targets); structural changes require
-    rebuilding the instance graph. *)
+    the object back (typechecked against the stored version, so only the
+    rebuilt path is walked). The caller must have run the query FOR UPDATE,
+    so the row's node is X-locked. The update must preserve structure
+    (member counts, reference targets); structural changes require
+    rebuilding the instance graph. It must also keep the object's key: an
+    update whose rebuilt object carries another key is refused with
+    [Relation_error (Key_changed _)], writing nothing and logging no undo
+    record. *)

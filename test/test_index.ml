@@ -114,6 +114,173 @@ let test_index_maintained_on_delete () =
   Alcotest.(check (list string)) "entry removed" []
     (lookup db "effectors" "tool" (Value.Str "t2"))
 
+(* ---------------------------------------------------------------- lockstep *)
+
+(* Random inserts, replaces and deletes through [Nf2.Database]; after each,
+   every index must answer every rendering ever seen exactly as a fresh
+   [Index.build] of the relation does. Replaces move an indexed value in any
+   robot or object (not only the first), leave indexed paths alone, reorder,
+   drop or append members, fail to typecheck, or carry a fresh key. *)
+
+let lockstep_indexes =
+  [ ("cells", "cell_id"); ("cells", "robots.trajectory");
+    ("cells", "robots.robot_id"); ("cells", "c_objects.obj_id");
+    ("cells", "c_objects.obj_name"); ("effectors", "tool");
+    ("effectors", "eff_id") ]
+
+let pool = [| "tr1"; "tr2"; "tr3"; "x"; "o1"; "t1"; "t2" |]
+
+let edit_nth state members edit =
+  match members with
+  | [] -> []
+  | _ :: _ ->
+    let chosen = Random.State.int state (List.length members) in
+    List.mapi (fun index member -> if index = chosen then edit member else member) members
+
+let set_field name replacement = function
+  | Value.Tuple fields ->
+    Value.Tuple
+      (List.map
+         (fun (field, sub) ->
+           if String.equal field name then (field, replacement) else (field, sub))
+         fields)
+  | other -> other
+
+let map_field name edit = function
+  | Value.Tuple fields ->
+    Value.Tuple
+      (List.map
+         (fun (field, sub) ->
+           if String.equal field name then (field, edit sub) else (field, sub))
+         fields)
+  | other -> other
+
+let on_members edit = function
+  | Value.Set members -> Value.Set (edit members)
+  | Value.List members -> Value.List (edit members)
+  | other -> other
+
+let edit_cell state value =
+  let word () = Value.Str pool.(Random.State.int state (Array.length pool)) in
+  match Random.State.int state 9 with
+  | 0 | 1 ->
+    map_field "robots"
+      (on_members (fun robots ->
+           edit_nth state robots (set_field "trajectory" (word ()))))
+      value
+  | 2 ->
+    map_field "c_objects"
+      (on_members (fun objects ->
+           edit_nth state objects (set_field "obj_name" (word ()))))
+      value
+  | 3 -> map_field "robots" (on_members List.rev) value
+  | 4 -> map_field "robots" (on_members (function [] -> [] | _ :: rest -> rest)) value
+  | 5 ->
+    map_field "robots"
+      (on_members (fun robots ->
+           robots
+           @ [ Workload.Figure1.robot ~key:"r9"
+                 ~trajectory:pool.(Random.State.int state 4) ~effectors:[] ]))
+      value
+  | 6 -> value
+  | 7 ->
+    map_field "robots"
+      (on_members (fun robots ->
+           edit_nth state robots (set_field "trajectory" (Value.Int 3))))
+      value
+  | _ -> set_field "cell_id" (Value.Str (Printf.sprintf "n%d" (Random.State.int state 6))) value
+
+let random_step db state =
+  let cells = Option.get (Nf2.Database.relation db "cells") in
+  let keys = Nf2.Relation.keys cells in
+  let some_key () =
+    if keys = [] || Random.State.int state 5 = 0 then
+      Printf.sprintf "n%d" (Random.State.int state 6)
+    else List.nth keys (Random.State.int state (List.length keys))
+  in
+  match Random.State.int state 6 with
+  | 0 ->
+    ignore
+      (Nf2.Database.insert db "cells"
+         (Workload.Figure1.cell ~key:(some_key ())
+            ~objects:[ Workload.Figure1.cell_object ~id:1 ~name:pool.(Random.State.int state 7) ]
+            ~robots:
+              [ Workload.Figure1.robot ~key:"r1" ~trajectory:pool.(Random.State.int state 7)
+                  ~effectors:[] ])
+        : (Oid.t, Nf2.Database.error) result)
+  | 1 | 2 | 3 -> (
+    match Nf2.Relation.find cells (some_key ()) with
+    | Some value ->
+      ignore
+        (Nf2.Database.replace db "cells" (edit_cell state value)
+          : (Oid.t, Nf2.Database.error) result)
+    | None -> ())
+  | 4 -> (
+    let effectors = Option.get (Nf2.Database.relation db "effectors") in
+    match Nf2.Relation.objects effectors with
+    | [] -> ()
+    | objects ->
+      let _key, value = List.nth objects (Random.State.int state (List.length objects)) in
+      ignore
+        (Nf2.Database.replace db "effectors"
+           (set_field "tool" (Value.Str pool.(Random.State.int state 7)) value)
+          : (Oid.t, Nf2.Database.error) result))
+  | _ ->
+    ignore
+      (Nf2.Database.delete db (Oid.make ~relation:"cells" ~key:(some_key ()))
+        : (unit, Nf2.Database.error) result)
+
+let renderings_in db (relation, path) =
+  let store = Option.get (Nf2.Database.relation db relation) in
+  Nf2.Relation.fold
+    (fun _key value accu ->
+      List.filter_map Value.render_atomic (Value.project value (Path.of_string path))
+      @ accu)
+    store []
+
+let indexes_agree_with_rebuild db seen =
+  List.for_all
+    (fun ((relation, path) as indexed) ->
+      let store = Option.get (Nf2.Database.relation db relation) in
+      let fresh =
+        match Nf2.Index.build store (Path.of_string path) with
+        | Ok index -> index
+        | Error message -> failwith message
+      in
+      List.iter (fun rendering -> Hashtbl.replace seen rendering ()) (renderings_in db indexed);
+      Hashtbl.fold
+        (fun rendering () agree ->
+          agree
+          && lookup db relation path (Value.Str rendering)
+             = Nf2.Index.lookup fresh (Value.Str rendering))
+        seen true)
+    lockstep_indexes
+
+let prop_indexes_match_rebuild =
+  QCheck.Test.make ~name:"indexes answer as a fresh build after any DML"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (seed, steps) -> Printf.sprintf "seed=%d steps=%d" seed steps)
+       QCheck.Gen.(pair (int_range 0 1_000_000) (int_range 1 40)))
+    (fun (seed, steps) ->
+      let db =
+        Workload.Generator.manufacturing
+          { Workload.Generator.cells = 4; objects_per_cell = 3;
+            robots_per_cell = 3; effectors = 4; effectors_per_robot = 2; seed }
+      in
+      List.iter (fun (relation, path) -> build_index db relation path) lockstep_indexes;
+      let state = Random.State.make [| seed |] in
+      let seen = Hashtbl.create 64 in
+      Array.iter (fun word -> Hashtbl.replace seen word ()) pool;
+      let rec go step =
+        step = 0
+        || begin
+          random_step db state;
+          indexes_agree_with_rebuild db seen && go (step - 1)
+        end
+      in
+      go steps)
+
 (* -------------------------------------------------------------- executor *)
 
 let executor_env ~with_index =
@@ -199,7 +366,8 @@ let () =
       ("maintenance",
        [ Alcotest.test_case "insert" `Quick test_index_maintained_on_insert;
          Alcotest.test_case "replace" `Quick test_index_maintained_on_replace;
-         Alcotest.test_case "delete" `Quick test_index_maintained_on_delete ]);
+         Alcotest.test_case "delete" `Quick test_index_maintained_on_delete;
+         QCheck_alcotest.to_alcotest prop_indexes_match_rebuild ]);
       ("executor",
        [ Alcotest.test_case "uses index" `Quick test_executor_uses_index;
          Alcotest.test_case "scan without" `Quick

@@ -626,6 +626,120 @@ let random_dml db graph state step =
         | Error _ -> failwith "database refused a delete the graph made")
     end
 
+(* ------------------------------------------------------ replacement check *)
+
+(* One local edit somewhere in [value], rebuilt the way an update rebuilds
+   an object: the spine down to the edit is fresh, everything beside it is
+   shared with the original. The edit at the chosen spot is well-typed,
+   mistyped, reshaped (tuple fields renamed, dropped, added or swapped) or
+   length-changing (a collection member appended or dropped). *)
+let rec local_edit db state value =
+  let descend = Random.State.int state 3 > 0 in
+  let pick_index length = Random.State.int state length in
+  match value with
+  | Value.Tuple bindings when descend && bindings <> [] ->
+    let chosen = pick_index (List.length bindings) in
+    Value.Tuple
+      (List.mapi
+         (fun index (name, sub) ->
+           if index = chosen then (name, local_edit db state sub) else (name, sub))
+         bindings)
+  | (Value.Set members | Value.List members) when descend && members <> [] ->
+    let chosen = pick_index (List.length members) in
+    let members =
+      List.mapi
+        (fun index member ->
+          if index = chosen then local_edit db state member else member)
+        members
+    in
+    (match value with Value.Set _ -> Value.Set members | _ -> Value.List members)
+  | _ -> (
+    match Random.State.int state 4 with
+    | 0 -> well_typed_edit db state value
+    | 1 -> mistyped_edit value
+    | 2 -> reshaped_edit state value
+    | _ -> length_edit state value)
+
+and well_typed_edit db state value =
+  match value with
+  | Value.Str text -> Value.Str (text ^ "'")
+  | Value.Int number -> Value.Int (number + 1)
+  | Value.Real number -> Value.Real (number +. 1.0)
+  | Value.Bool flag -> Value.Bool (not flag)
+  | Value.Ref oid -> (
+    let relation = Oid.relation oid in
+    match Nf2.Database.relation db relation with
+    | Some store when Nf2.Relation.cardinality store > 0 ->
+      Value.ref_to ~relation ~key:(pick state (Nf2.Relation.keys store))
+    | Some _ | None -> value)
+  | Value.Set members -> Value.Set (List.rev members)
+  | Value.List members -> Value.List (List.rev members)
+  | Value.Tuple _ -> local_edit db state value
+
+and mistyped_edit value =
+  match value with
+  | Value.Str _ -> Value.Int 0
+  | Value.Int _ | Value.Real _ | Value.Bool _ -> Value.Str "x"
+  | Value.Ref oid -> Value.ref_to ~relation:"nowhere" ~key:(Oid.key oid)
+  | Value.Set members -> Value.List members
+  | Value.List members -> Value.Set members
+  | Value.Tuple _ -> Value.Str "x"
+
+and reshaped_edit state value =
+  match value with
+  | Value.Tuple ((name, sub) :: rest) -> (
+    match Random.State.int state 4 with
+    | 0 -> Value.Tuple ((name ^ "_", sub) :: rest)
+    | 1 -> Value.Tuple (List.filteri (fun index _ -> index < List.length rest) ((name, sub) :: rest))
+    | 2 -> Value.Tuple (((name, sub) :: rest) @ [ ("extra", Value.Str "") ])
+    | _ -> (
+      match rest with
+      | second :: others -> Value.Tuple (second :: (name, sub) :: others)
+      | [] -> Value.Tuple []))
+  | Value.Tuple [] -> Value.Tuple [ ("extra", Value.Int 1) ]
+  | other -> Value.Tuple [ ("wrapped", other) ]
+
+and length_edit state value =
+  match value with
+  | Value.Set members | Value.List members ->
+    let members =
+      match members, Random.State.int state 3 with
+      | first :: _, 0 -> members @ [ first ]
+      | _ :: rest, 1 -> rest
+      | _, _ -> members @ [ Value.Str "stray" ]
+    in
+    (match value with Value.Set _ -> Value.Set members | _ -> Value.List members)
+  | other -> mistyped_edit other
+
+let replacement_case =
+  QCheck.make
+    ~print:(fun (db, pick, seed, edits) ->
+      Printf.sprintf "db=%d pick=%d seed=%d edits=%d" db pick seed edits)
+    QCheck.Gen.(
+      quad (int_range 0 100) (int_range 0 10_000) (int_range 0 1_000_000)
+        (int_range 1 3))
+
+let prop_replacement_check_is_full_check =
+  QCheck.Test.make
+    ~name:"replacement check returns what the full check returns" ~count:1000
+    replacement_case
+    (fun (db_index, pick, seed, edits) ->
+      let pool = Lazy.force database_pool in
+      let db = pool.(db_index mod Array.length pool) in
+      let stores = Nf2.Database.relations db in
+      let store = List.nth stores (pick mod List.length stores) in
+      let schema = Nf2.Relation.schema store in
+      let objects = Nf2.Relation.objects store in
+      QCheck.assume (objects <> []);
+      let _key, stored = List.nth objects (pick mod List.length objects) in
+      let state = Random.State.make [| seed |] in
+      let rec edit count value =
+        if count = 0 then value else edit (count - 1) (local_edit db state value)
+      in
+      let value = edit edits stored in
+      Value.typecheck_replacement schema ~stored value
+      = Value.typecheck_object schema value)
+
 let dml_case =
   QCheck.make
     ~print:(fun (db, seed, steps) ->
@@ -1010,6 +1124,9 @@ let () =
          test_large_plan_linear
        :: List.map QCheck_alcotest.to_alcotest
             [ prop_compiled_plan_matches_reference ]);
+      ("replacement check",
+       List.map QCheck_alcotest.to_alcotest
+         [ prop_replacement_check_is_full_check ]);
       ("statistics",
        Alcotest.test_case "one pass equals the fold" `Quick
          test_statistics_match_reference

@@ -107,6 +107,23 @@ let test_parse_errors () =
   expect_parse_error "SELECT c FROM c IN cells FOR READ trailing";
   expect_parse_error "SELECT select FROM select IN cells FOR READ"
 
+(* An integer literal beyond [max_int] is a parse error at its offset, and
+   reaches a [Session] caller as one, not as an exception. *)
+let test_parse_int_out_of_range () =
+  let text =
+    "SELECT c FROM c IN cells WHERE c.n = 99999999999999999999 FOR READ"
+  in
+  (match Query.Parser.parse text with
+   | Error { Query.Parser.position; message = _ } ->
+     check_int "at the literal" 37 position
+   | Ok _ -> Alcotest.fail "out-of-range literal accepted");
+  let session = Session.create (Workload.Figure1.database ()) in
+  let txn = Session.begin_txn session in
+  match Session.query session txn text with
+  | Error (Query.Executor.Parse_error { Query.Parser.position; _ }) ->
+    check_int "session reports the offset" 37 position
+  | Error _ | Ok _ -> Alcotest.fail "expected a parse error from Session"
+
 (* --------------------------------------------------------------- Analyzer *)
 
 let catalog () = Nf2.Database.catalog (Workload.Figure1.database ())
@@ -367,7 +384,9 @@ let () =
          Alcotest.test_case "literals" `Quick test_parse_literals;
          Alcotest.test_case "delete clause" `Quick test_parse_delete_clause;
          Alcotest.test_case "pp roundtrip" `Quick test_parse_roundtrip_pp;
-         Alcotest.test_case "errors" `Quick test_parse_errors ]);
+         Alcotest.test_case "errors" `Quick test_parse_errors;
+         Alcotest.test_case "int out of range" `Quick
+           test_parse_int_out_of_range ]);
       ("analyzer",
        [ Alcotest.test_case "q2" `Quick test_analyze_q2;
          Alcotest.test_case "nested variable" `Quick

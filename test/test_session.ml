@@ -315,6 +315,43 @@ let test_abort_after_victim () =
   check_int "nothing counted" aborts
     (stats session).Lockmgr.Lock_stats.victim_aborts
 
+(* An update whose rebuilt object carries another key is refused: nothing
+   is written, nothing is logged for undo, and the object keeps its key. *)
+let test_update_refuses_key_change () =
+  let session = make_session () in
+  let txn = Session.begin_txn session in
+  let rekey = function
+    | Value.Tuple fields ->
+      Value.Tuple
+        (List.map
+           (fun (name, sub) ->
+             if String.equal name "cell_id" then (name, Value.Str "c9")
+             else (name, sub))
+           fields)
+    | other -> other
+  in
+  (match
+     Session.update session txn
+       "SELECT c FROM c IN cells WHERE c.cell_id = 'c1' FOR UPDATE" rekey
+   with
+   | Error (Query.Executor.Database_error _) -> ()
+   | Error error ->
+     Alcotest.failf "unexpected error: %s"
+       (Format.asprintf "%a" Query.Executor.pp_error error)
+   | Ok count -> Alcotest.failf "key change accepted (%d rows)" count);
+  let store = Option.get (Nf2.Database.relation (Session.database session) "cells") in
+  Alcotest.(check (list string)) "cells keep their keys" [ "c1" ]
+    (Nf2.Relation.keys store);
+  check_int "nothing to undo" 0 (ok (Session.abort session txn));
+  Alcotest.(check (list string)) "still only c1 after abort" [ "c1" ]
+    (Nf2.Relation.keys store);
+  let reader = Session.begin_txn session in
+  check_int "c1 still reads" 1
+    (List.length
+       (ok
+          (Session.query session reader
+             "SELECT c FROM c IN cells WHERE c.cell_id = 'c1' FOR READ")))
+
 let () =
   Alcotest.run "session"
     [ ("facade",
@@ -327,7 +364,9 @@ let () =
            test_insert_abort_disappears;
          Alcotest.test_case "delete + commit" `Quick test_delete_and_commit;
          Alcotest.test_case "blocked then retry" `Quick
-           test_blocked_error_surfaces ]);
+           test_blocked_error_surfaces;
+         Alcotest.test_case "update refuses a key change" `Quick
+           test_update_refuses_key_change ]);
       ("engine",
        [ Alcotest.test_case "deadlock resolved" `Quick test_deadlock_resolved;
          Alcotest.test_case "victim's writes undone first" `Quick
