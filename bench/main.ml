@@ -4,9 +4,9 @@
    resilience comparison, see DESIGN.md).
    Options:
      --only E5        run a single experiment (E1..E13, E15..E17, E19..E22)
-     --bechamel       additionally run the Bechamel micro-benchmarks (one
-                      Test.make per experiment's core operation, plus the
-                      E14 index ablation)
+     --bechamel       additionally run the Bechamel micro-benchmarks of
+                      the operations perfbench does not time (E1, E2, the
+                      E5 k-sweep, E6, E8, E10 and the E14 index ablation)
      --no-experiments skip the experiment tables
      --scenarios DIR  regenerate BENCH_scenarios.json from the committed
                       scenario suite (then exit) *)
@@ -50,41 +50,6 @@ let bench_e2_unit_members =
     (Staged.stage (fun () ->
          Sys.opaque_identity
            (Colock.Units.unit_members fig1_graph ~root:(Graph.root fig1_graph))))
-
-(* E3: plan + acquire + release the Figure 7 Q2 lock set. *)
-let bench_e3_q2_acquire_release =
-  let table = Table.create () in
-  let rights = Authz.Rights.create () in
-  Authz.Rights.set_relation_default rights ~relation:"effectors" false;
-  let protocol = Protocol.create ~rights fig1_graph table in
-  Test.make ~name:"E3 Q2 acquire+release (fig7)"
-    (Staged.stage (fun () ->
-         (match Protocol.acquire protocol ~txn:2 robot_r1 Mode.X with
-          | Protocol.Acquired _ -> ()
-          | Protocol.Blocked _ -> assert false);
-         ignore (Protocol.end_of_transaction protocol ~txn:2)))
-
-(* E4: the three techniques' plan construction for a Q2-like access. *)
-let bench_e4_plan_proposed =
-  let table = Table.create () in
-  let protocol = Protocol.create fig1_graph table in
-  Test.make ~name:"E4 plan proposed (robot X)"
-    (Staged.stage (fun () ->
-         Sys.opaque_identity (Protocol.plan_node protocol ~txn:1 robot_r1 Mode.X)))
-
-let bench_e4_plan_whole_object =
-  Test.make ~name:"E4 plan whole-object (cell X)"
-    (Staged.stage (fun () ->
-         Sys.opaque_identity
-           (Baselines.Whole_object.plan fig1_graph
-              ~oid:(Oid.make ~relation:"cells" ~key:"c1") Mode.X)))
-
-let bench_e4_plan_tuple_level =
-  Test.make ~name:"E4 plan tuple-level (cell S)"
-    (Staged.stage (fun () ->
-         Sys.opaque_identity
-           (Baselines.Tuple_level.plan fig1_graph
-              ~oid:(Oid.make ~relation:"cells" ~key:"c1") Mode.S)))
 
 (* E5: X on a shared effector, proposed vs all-parents. *)
 let bench_e5_shared_proposed =
@@ -142,24 +107,6 @@ let bench_e6_hidden_conflict_audit =
          Sys.opaque_identity
            (Baselines.Sysr_dag.hidden_conflicts fig1_graph table ~txns:[ 1; 2 ])))
 
-(* E7: query execution under rule 4'. *)
-let bench_e7_query_q2 =
-  let table = Table.create () in
-  let rights = Authz.Rights.create () in
-  Authz.Rights.set_relation_default rights ~relation:"effectors" false;
-  let protocol = Protocol.create ~rights fig1_graph table in
-  let executor = Query.Executor.create fig1_db protocol in
-  let q2 =
-    "SELECT r FROM c IN cells, r IN c.robots WHERE c.cell_id = 'c1' AND \
-     r.robot_id = 'r1' FOR UPDATE"
-  in
-  Test.make ~name:"E7 execute Q2 (parse+analyze+lock+eval)"
-    (Staged.stage (fun () ->
-         (match Query.Executor.run_string executor ~txn:4 q2 with
-          | Ok _ -> ()
-          | Error _ -> assert false);
-         ignore (Protocol.end_of_transaction protocol ~txn:4)))
-
 (* E8: escalation anticipation (query-specific lock graph construction). *)
 let bench_e8_query_graph =
   let catalog = Nf2.Database.catalog fig1_db in
@@ -185,31 +132,10 @@ let bench_e8_query_graph =
          Sys.opaque_identity
            (Colock.Query_graph.build ~threshold:16 catalog ~stats [ access ])))
 
-(* E9: a full 40-transaction simulation run. *)
-let bench_e9_simulation =
-  let graph, specs =
-    Bench.Run.manufacturing Workload.Generator.default_manufacturing
-      { Sim.Scenario.default_mix with jobs = 40; seed = 5 }
-  in
-  Test.make ~name:"E9 simulate 40 txns (proposed)"
-    (Staged.stage (fun () ->
-         let run = Bench.Run.setup ~obs:None graph Workload.Dsl.Proposed specs in
-         Sys.opaque_identity (Sim.Runner.run ~table:run.table run.jobs)))
-
 (* E10: instance-graph construction (the once-per-relation overhead). *)
 let bench_e10_build_instance_graph =
   Test.make ~name:"E10 build instance graph (fig1)"
     (Staged.stage (fun () -> Sys.opaque_identity (Graph.build fig1_db)))
-
-(* E11: the lock table itself. *)
-let bench_e11_lock_table_ops =
-  let table = Table.create () in
-  Test.make ~name:"E11 lock table request+release"
-    (Staged.stage (fun () ->
-         (match Table.request table ~txn:1 ~resource:"r" Mode.X with
-          | Table.Granted -> ()
-          | Table.Waiting _ -> assert false);
-         ignore (Table.release table ~txn:1 ~resource:"r")))
 
 (* E14: index-assisted selection vs relation scan (the index substrate). *)
 let bench_e14_pair =
@@ -248,12 +174,9 @@ let bench_e14_pair =
 let all_micro_tests =
   Test.make_grouped ~name:"colock"
     ([ bench_e1_derive_object_graph; bench_e2_unit_members;
-      bench_e3_q2_acquire_release; bench_e4_plan_proposed;
-      bench_e4_plan_whole_object; bench_e4_plan_tuple_level;
       bench_e5_shared_proposed; bench_e5_shared_all_parents;
-      bench_e6_hidden_conflict_audit; bench_e7_query_q2;
-      bench_e8_query_graph; bench_e9_simulation;
-      bench_e10_build_instance_graph; bench_e11_lock_table_ops ]
+      bench_e6_hidden_conflict_audit; bench_e8_query_graph;
+      bench_e10_build_instance_graph ]
      @ bench_e5_cell_plans @ bench_e14_pair)
 
 let run_bechamel () =

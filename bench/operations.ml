@@ -5,7 +5,9 @@
 module Mode = Lockmgr.Lock_mode
 
 (* E15 and E19 offer every job at once (MPL = jobs), two steps each, on a
-   four-cell catalog, so AB-BA deadlocks actually form. *)
+   four-cell catalog, so AB-BA deadlocks actually form. The table gets a
+   sink with no handlers, so E19's overload controller has lock waits to
+   watch. *)
 let all_at_once ~seed ~mpl technique =
   let graph, specs =
     Bench.Run.manufacturing
@@ -13,7 +15,7 @@ let all_at_once ~seed ~mpl technique =
       { Sim.Scenario.default_mix with jobs = mpl; arrival_gap = 0;
         steps_per_job = 2; read_fraction = 0.2; seed }
   in
-  Bench.Run.setup ~obs:None graph technique specs
+  Bench.Run.setup ~obs:(Some (Obs.Sink.create [])) graph technique specs
 
 (* ------------------------------------------------------------------ E15 *)
 

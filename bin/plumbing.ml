@@ -95,53 +95,19 @@ let trace_pos_arg =
            ~doc:"A JSONL event trace, as written by $(b,colock simulate \
                  --jsonl) or by $(b,colock soak) for a failing run.")
 
-(* Streams a JSONL trace run by run in constant memory (soak traces run
-   to millions of lines), split by [Obs.Event.split_runs]: [start label]
-   opens a run's accumulator when its first event arrives, [push] feeds
-   it, [flush label run] closes it. A run takes the label of the Run_meta
-   line before it; one that no Run_meta line opens is labelled ["run-0"],
-   and a trace with none at all says so on stderr. Malformed lines are
-   diagnosed as FILE: line N; a trace with no decodable event exits 1. *)
-let stream_runs path ~start ~push ~flush =
-  let decoded = ref 0 and delimited = ref false and label = ref "run-0" in
-  let (_ : unit list) =
-    Obs.Jsonl.with_file path (fun in_channel ->
-        Obs.Event.split_runs
-          (fun split ->
-            Obs.Jsonl.iter
-              ~on_error:(fun message -> Fmt.epr "colock: %s: %s@." path message)
-              in_channel
-              (fun event ->
-                incr decoded;
-                match event.Obs.Event.kind with
-                | Obs.Event.Run_meta { label = next } ->
-                  (* the delimiter first closes the run before it *)
-                  delimited := true;
-                  split event;
-                  label := next
-                | _ -> split event))
-          ~start:(fun () -> (!label, start !label))
-          ~push:(fun (_, run) event -> push run event)
-          ~flush:(fun _ (label, run) ->
-            if not !delimited then
-              Fmt.epr
-                "colock: %s: no Run_meta delimiter; labelling the whole \
-                 trace run-0@."
-                path;
-            flush label run))
+(* Streams a JSONL trace run by run through [Obs.Jsonl.read_runs] (soak
+   traces run to millions of lines), printing its diagnostics as FILE:
+   message; a trace with no decodable event exits 1. *)
+let read_runs path ~start ~push ~flush =
+  let summary =
+    Obs.Jsonl.read_runs path
+      ~on_error:(fun message -> Fmt.epr "colock: %s: %s@." path message)
+      ~start ~push ~flush
   in
-  if !decoded = 0 then begin
+  if summary.Obs.Jsonl.decoded = 0 then begin
     Fmt.epr "colock: %s: no decodable events@." path;
     exit 1
   end
-
-(* [stream_runs] over a fold that finishes into a per-run report: [add]
-   takes each report as its run ends. *)
-let fold_runs path ~create ~handle ~finish add =
-  stream_runs path
-    ~start:(fun _label -> create ())
-    ~push:handle
-    ~flush:(fun label fold -> add (finish ?label:(Some label) fold))
 
 let print_json json =
   Obs.Json.output stdout json;

@@ -147,7 +147,7 @@ let top_cmd =
         next_render := Unix.gettimeofday () +. interval
       end
     in
-    stream_runs trace
+    read_runs trace
       ~start:(fun label ->
         let sink = Obs.Sink.create [] in
         last := 0.0;
@@ -171,9 +171,12 @@ let top_cmd =
 
 (* ---------------------------------------------------------------- analyze *)
 
-let profile_runs path =
-  fold_runs path ~create:Obs.Profile.create ~handle:Obs.Profile.handle
-    ~finish:Obs.Profile.finish
+(* [add] takes each run's contention profile as the run ends. *)
+let profile_runs path add =
+  read_runs path
+    ~start:(fun _label -> Obs.Profile.create ())
+    ~push:Obs.Profile.handle
+    ~flush:(fun label profile -> add (Obs.Profile.finish ~label profile))
 
 (* One contention profile per run of the trace at [path]. *)
 let profiles path =
@@ -227,11 +230,11 @@ let certify_cmd =
       report_printer ~json ~to_json:Obs.Certify.to_json
         (if dot then Obs.Dot.print stdout else Obs.Certify.print stdout)
     in
-    fold_runs trace
-      ~create:(fun () -> Obs.Certify.create ~modes ())
-      ~handle:Obs.Certify.handle
-      ~finish:Obs.Certify.finish
-      (fun cert ->
+    read_runs trace
+      ~start:(fun _label -> Obs.Certify.create ~modes ())
+      ~push:Obs.Certify.handle
+      ~flush:(fun label certifier ->
+        let cert = Obs.Certify.finish ~label certifier in
         violations := !violations + List.length cert.Obs.Certify.violations;
         add cert);
     close ();
@@ -268,9 +271,11 @@ let explain_cmd =
       ~doc:"Rows in the top-blockers table (summary text output only)."
   in
   let run () trace txn json top =
-    let blame_runs =
-      fold_runs trace ~create:Obs.Blame.create ~handle:Obs.Blame.handle
-        ~finish:Obs.Blame.finish
+    let blame_runs add =
+      read_runs trace
+        ~start:(fun _label -> Obs.Blame.create ())
+        ~push:Obs.Blame.handle
+        ~flush:(fun label blame -> add (Obs.Blame.finish ~label blame))
     in
     match txn with
     | Some txn when not json ->

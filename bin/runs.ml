@@ -298,9 +298,10 @@ let simulate_cmd =
         max_restarts; overload; check_invariants; snapshot_every; on_advance }
     in
     let faults = { faults with Sim.Fault.fault_seed = seed } in
+    (* overload control watches the lock table's sink, so it needs one *)
     let observing =
       trace_file <> None || stats_json_file <> None || jsonl_file <> None
-      || monitoring
+      || monitoring || overload <> None
     in
     let keep = if trace_all then None else Some Obs.Sink.not_sim_step in
     let monitor =
@@ -322,15 +323,15 @@ let simulate_cmd =
     let runs =
       List.map
         (fun selector ->
-          (* a ring for the raw events, filtered by [keep], and a collector
-             for the counters and latency histograms, which see every
-             event *)
+          (* the whole run's raw events, filtered by [keep], and a
+             collector for the counters and latency histograms, which see
+             every event *)
           let capture =
             if observing then begin
-              let sink, ring = Obs.Sink.memory ~capacity:262144 ?keep () in
+              let sink, events = Obs.Sink.memory ?keep () in
               let collector = Obs.Collector.create () in
               Obs.Sink.attach sink (Obs.Collector.handle collector);
-              Some (sink, ring, collector)
+              Some (sink, events, collector)
             end
             else None
           in
@@ -377,22 +378,21 @@ let simulate_cmd =
     in
     Option.iter Obs_http.stop server;
     let captured = List.filter_map Fun.id runs in
-    let events ring = Obs.Ring.to_list ring in
     Option.iter
       (fun path ->
         with_out path (fun channel ->
             Obs.Trace.write channel
               (List.map
-                 (fun (run, (_, ring, _), _) ->
-                   (run.Bench.Run.name, events ring))
+                 (fun (run, (_, events, _), _) ->
+                   (run.Bench.Run.name, events ()))
                  captured)))
       trace_file;
     Option.iter
       (fun path ->
         with_out path (fun channel ->
             List.iter
-              (fun (run, (_, ring, _), _) ->
-                write_run channel ~label:run.Bench.Run.name (events ring))
+              (fun (run, (_, events, _), _) ->
+                write_run channel ~label:run.Bench.Run.name (events ()))
               captured))
       jsonl_file;
     Option.iter
@@ -439,15 +439,12 @@ let simulate_cmd =
 let soak_run ~quiet ?post_mortem db graph (dsl : Workload.Dsl.t) selector =
   let technique_name = Workload.Dsl.technique_to_string selector in
   let label = dsl.name ^ "/" ^ technique_name in
-  let sink = Obs.Sink.create [] in
-  let ring =
+  let sink, events =
     match post_mortem with
-    | None -> None
+    | None -> (Obs.Sink.create [], None)
     | Some _ ->
-      let ring = Obs.Ring.create ~capacity:262144 in
-      Obs.Sink.attach sink
-        (Obs.Sink.filter Obs.Sink.not_sim_step (Obs.Sink.to_ring ring));
-      Some ring
+      let sink, events = Obs.Sink.memory ~keep:Obs.Sink.not_sim_step () in
+      (sink, Some events)
   in
   let certifier =
     if dsl.certify then begin
@@ -524,9 +521,9 @@ let soak_run ~quiet ?post_mortem db graph (dsl : Workload.Dsl.t) selector =
     | None -> 0
     | Some cert -> List.length cert.Obs.Certify.violations
   in
-  (match post_mortem, ring with
-   | Some dir, Some ring when breaches > 0 || cert_violations > 0 ->
-     let events = Obs.Ring.to_list ring in
+  (match post_mortem, events with
+   | Some dir, Some events when breaches > 0 || cert_violations > 0 ->
+     let events = events () in
      let path =
        save_run ~dir ~name:(dsl.name ^ "-" ^ technique_name) ~label events
      in

@@ -35,5 +35,3 @@ let forget_txn rights ~txn =
       rights.per_txn []
   in
   List.iter (Hashtbl.remove rights.per_txn) stale
-
-let all_modifiable = create ()

@@ -27,6 +27,3 @@ val set_relation_default : t -> relation:string -> bool -> unit
 val may_modify : t -> txn:txn_id -> relation:string -> bool
 val forget_txn : t -> txn:txn_id -> unit
 (** Drops per-transaction rights at end of transaction. *)
-
-val all_modifiable : t
-(** Shared read-write-for-everyone instance (plain rule 4 behaviour). *)

@@ -48,6 +48,3 @@ let merge graph locks =
       let node, mode = !cell in
       { node = Graph.id graph node; mode; resource = Graph.resource graph node })
     !order
-
-let pp_request formatter { node; mode; _ } =
-  Format.fprintf formatter "%a: %a" Node_id.pp node Mode.pp mode

@@ -38,5 +38,3 @@ val merge :
 (** Deduplicates by node (dense id), merging modes with the supremum and
     keeping first positions (parents stay before children), and renders
     each lock as a request. *)
-
-val pp_request : Format.formatter -> request -> unit

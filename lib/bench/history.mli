@@ -11,7 +11,7 @@
     instead of evaporating with each fresh baseline.
 
     Lines are whole (rendered then written with one flush, like
-    {!Obs.Jsonl.write}), so a crash-cut append never corrupts earlier
+    {!Obs.Jsonl.handler}), so a crash-cut append never corrupts earlier
     records; {!load} skips undecodable lines with a diagnostic instead of
     failing the whole read. *)
 

@@ -21,15 +21,13 @@ let setup ~obs graph technique specs =
     jobs = Sim.Scenario.compile graph technique specs }
 
 let capture ~config ~faults handlers graph technique specs =
-  let captured = ref [] in
-  let sink =
-    Obs.Sink.create ((fun event -> captured := event :: !captured) :: handlers)
-  in
+  let sink, events = Obs.Sink.memory () in
+  List.iter (Obs.Sink.attach sink) handlers;
   let run = setup ~obs:(Some sink) graph technique specs in
   let (_ : Sim.Metrics.t) =
     Sim.Runner.run ~config ~faults ~table:run.table run.jobs
   in
-  (run.name, List.rev !captured)
+  (run.name, events ())
 
 let row run metrics collector =
   Sim.Metrics.row metrics

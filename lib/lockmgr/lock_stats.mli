@@ -21,13 +21,7 @@ type t = {
 }
 
 val create : unit -> t
-val reset : t -> unit
-val copy : t -> t
-val add : t -> t -> t
-(** Component-wise sum (fresh record). *)
 
 val row : t -> (string * float) list
 (** Stable key-value view mirroring [Sim.Metrics.row], so both stats records
     serialize uniformly (tables, JSON exports). *)
-
-val pp : Format.formatter -> t -> unit

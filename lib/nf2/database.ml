@@ -75,19 +75,19 @@ let insert db name value =
 
 (* The relation hands back the version it replaced, so each index moves
    only the entries the replace changed. *)
-let replace db name value =
+let replace db oid value =
+  let name = Oid.relation oid and key = Oid.key oid in
   with_relation db name (fun store ->
-      match lift_relation_result (Relation.replace store value) with
+      match lift_relation_result (Relation.replace store ~key value) with
       | Error _ as error -> error
-      | Ok (oid, before) ->
-        let key = Oid.key oid in
+      | Ok before ->
         List.iter
           (fun index ->
             match before with
             | Some before -> Index.replace_entries index ~key ~before value
             | None -> Index.insert_entries index ~key value)
           (indexes_of db name);
-        Ok oid)
+        Ok ())
 
 let delete db oid =
   with_relation db (Oid.relation oid) (fun store ->

@@ -27,14 +27,14 @@ val relations : t -> Relation.t list
 
 val insert : t -> string -> Value.t -> (Oid.t, error) result
 
-val replace : t -> string -> Value.t -> (Oid.t, error) result
-(** {!Relation.replace}, then index upkeep. A replace keeps the key: the
-    version it replaces is the one stored under the new value's key, and a
-    caller that changes a key must refuse the write itself. The relation
-    hands back that version, so the stored object is looked up once and
-    the value is checked against it ({!Value.typecheck_replacement}). An
-    index whose renderings are equal before and after is left alone
-    ({!Index.replace_entries}). *)
+val replace : t -> Oid.t -> Value.t -> (unit, error) result
+(** [replace db oid value] writes [value] as the new version of the object
+    [oid] names: {!Relation.replace}, then index upkeep. A value whose key
+    is not [oid]'s is refused with [Relation_error (Key_changed _)] before
+    it is typechecked. The relation hands back the version it replaced, so
+    the stored object is looked up once and the value is checked against
+    it ({!Value.typecheck_replacement}). An index whose renderings are
+    equal before and after is left alone ({!Index.replace_entries}). *)
 
 val delete : t -> Oid.t -> (unit, error) result
 

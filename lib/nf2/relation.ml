@@ -49,27 +49,31 @@ let insert rel value =
       Ok (Oid.make ~relation:(name rel) ~key)
     end
 
-(* The value's key names the version it replaces, found once. The value is
-   checked against that version, so only what changed is walked, and the
-   check returns what the full check of [checked_key] returns. *)
-let replace rel value =
-  let key = Value.key_of_object rel.schema value in
-  let stored =
-    match key with
-    | Some key -> String_map.find_opt key rel.tuples
-    | None -> None
-  in
-  let checked =
-    match stored with
-    | Some stored -> Value.typecheck_replacement rel.schema ~stored value
-    | None -> Value.typecheck_object rel.schema value
-  in
-  match checked, key with
-  | Error type_error, _ -> Error (Type_error type_error)
-  | Ok (), None -> Error (No_key rel.schema.Schema.rel_name)
-  | Ok (), Some key ->
-    rel.tuples <- String_map.add key value rel.tuples;
-    Ok (Oid.make ~relation:(name rel) ~key, stored)
+(* A value whose key differs is refused before it is typechecked. Its own
+   key names the version it replaces, found once; the value is checked
+   against that version, so only what changed is walked, and the check
+   returns what the full check of [checked_key] returns. *)
+let replace rel ~key value =
+  match Value.key_of_object rel.schema value with
+  | Some changed_to when not (String.equal changed_to key) ->
+    Error (Key_changed { key; changed_to })
+  | own_key -> (
+    let stored =
+      match own_key with
+      | Some key -> String_map.find_opt key rel.tuples
+      | None -> None
+    in
+    let checked =
+      match stored with
+      | Some stored -> Value.typecheck_replacement rel.schema ~stored value
+      | None -> Value.typecheck_object rel.schema value
+    in
+    match checked, own_key with
+    | Error type_error, _ -> Error (Type_error type_error)
+    | Ok (), None -> Error (No_key rel.schema.Schema.rel_name)
+    | Ok (), Some key ->
+      rel.tuples <- String_map.add key value rel.tuples;
+      Ok stored)
 
 let delete rel key =
   if String_map.mem key rel.tuples then begin

@@ -9,8 +9,8 @@ type error =
   | Duplicate_key of string
   | Unknown_key of string
   | Key_changed of { key : string; changed_to : string }
-      (** an update rewrote the key of the object stored under [key]; a
-          replace cannot move an object, so the update is refused *)
+      (** a replace of the object stored under [key] carried another key;
+          a replace cannot move an object, so it is refused *)
 
 val pp_error : Format.formatter -> error -> unit
 
@@ -20,19 +20,20 @@ val create : Schema.relation -> (t, error) result
 val schema : t -> Schema.relation
 val name : t -> string
 val insert : t -> Value.t -> (Oid.t, error) result
-val replace : t -> Value.t -> (Oid.t * Value.t option, error) result
-(** Like {!insert} but overwrites the object stored under the value's key,
-    and returns the version it replaced ([None] when the key was free).
+val replace : t -> key:string -> Value.t -> (Value.t option, error) result
+(** [replace rel ~key value] overwrites the object stored under [key] with
+    [value], and returns the version it replaced ([None] when the key was
+    free).
 
-    A replace keeps the key: it replaces the version under the new value's
-    own key. A value rebuilt with another key would be stored beside the
-    old object, so an update that changes a key is refused before it gets
-    here ([Key_changed], from [Query.Executor.apply_update]).
+    A replace keeps the key: a value whose own key is not [key] would be
+    stored beside the old object, so it is refused with [Key_changed]
+    before anything else is checked. This is the one place keys are
+    checked for every writer (the executor's updates, check-ins, undo).
 
     The value is checked with {!Value.typecheck_replacement} against the
-    version it replaces, found by the one lookup, so an update walks only
-    the subtrees it rebuilt; the result is exactly {!insert}'s [Type_error]
-    or [No_key]. *)
+    version it replaces, found by the one lookup of its key, so an update
+    walks only the subtrees it rebuilt; the result is exactly {!insert}'s
+    [Type_error] or [No_key]. *)
 
 val delete : t -> string -> (unit, error) result
 val find : t -> string -> Value.t option

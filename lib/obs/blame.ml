@@ -231,12 +231,6 @@ let of_events ?label events =
   List.iter (handle blame) events;
   finish ?label blame
 
-let of_trace events =
-  Event.split_runs
-    (fun push -> List.iter push events)
-    ~start:create ~push:handle
-    ~flush:(fun label blame -> finish ?label blame)
-
 (* ------------------------------------------------------------ rendering *)
 
 let outcome_label = function

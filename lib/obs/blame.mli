@@ -11,7 +11,7 @@
     largest share per wait.
 
     Works online ({!handle} as a sink handler, then {!finish}) and offline
-    ({!of_trace} on a decoded JSONL trace). *)
+    (the same fold per run of a JSONL trace, through {!Jsonl.read_runs}). *)
 
 type agent = Spans.agent =
   | Txn of int  (** a blocking transaction *)
@@ -82,9 +82,6 @@ val finish : ?label:string -> t -> report
 (** Closes still-open waits as [Unfinished] at the last seen timestamp. *)
 
 val of_events : ?label:string -> Event.t list -> report
-
-val of_trace : Event.t list -> report list
-(** One report per run, split by {!Event.split_runs}. *)
 
 val to_json : report -> Json.t
 

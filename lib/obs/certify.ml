@@ -455,8 +455,11 @@ let in_grant_order ~events accesses =
 (* The all-pairs serialization graph: one edge per ordered committed pair,
    counting the conflicting episode pairs behind it and keeping the one
    with the smallest (first, second) grant seqs as witness.  Quadratic in
-   the episodes per resource, so only reports and counterexamples build
-   it. *)
+   the conflicting episodes per resource, so only reports and
+   counterexamples build it.  The earlier episodes of a resource are
+   bucketed by mode and an episode visits only the buckets it conflicts
+   with, so compatible episodes (every reader of a hot resource) cost
+   nothing; the witness is a minimum, so the visiting order is free. *)
 let all_pairs_edges modes ~events accesses =
   let earlier = Hashtbl.create 256 in
   let edges = Hashtbl.create 256 in
@@ -487,19 +490,24 @@ let all_pairs_edges modes ~events accesses =
   Array.iter
     (function
       | None -> ()
-      | Some second ->
-        let before =
+      | Some second -> (
+        let buckets =
           Option.value ~default:[]
             (Hashtbl.find_opt earlier second.a_resource)
         in
         List.iter
-          (fun first ->
-            if
-              first.a_txn <> second.a_txn
-              && not (modes.m_compatible first.a_mode second.a_mode)
-            then add first second)
-          before;
-        Hashtbl.replace earlier second.a_resource (second :: before))
+          (fun (mode, firsts) ->
+            if not (modes.m_compatible mode second.a_mode) then
+              List.iter
+                (fun first ->
+                  if first.a_txn <> second.a_txn then add first second)
+                !firsts)
+          buckets;
+        match List.assoc_opt second.a_mode buckets with
+        | Some firsts -> firsts := second :: !firsts
+        | None ->
+          Hashtbl.replace earlier second.a_resource
+            ((second.a_mode, ref [ second ]) :: buckets)))
     (in_grant_order ~events accesses);
   Hashtbl.fold (fun _key edge accu -> edge :: accu) edges []
   |> List.sort (fun a b ->
@@ -715,13 +723,6 @@ let of_events ?modes ?label events =
   let certifier = create ?modes () in
   List.iter (handle certifier) events;
   finish ?label certifier
-
-let of_trace ?modes events =
-  Event.split_runs
-    (fun push -> List.iter push events)
-    ~start:(fun () -> create ?modes ())
-    ~push:handle
-    ~flush:(fun label certifier -> finish ?label certifier)
 
 (* ------------------------------------------------------------ rendering *)
 

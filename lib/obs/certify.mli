@@ -149,10 +149,6 @@ val finish : ?label:string -> t -> certificate
 
 val of_events : ?modes:modes -> ?label:string -> Event.t list -> certificate
 
-val of_trace : ?modes:modes -> Event.t list -> certificate list
-(** Splits at [Run_meta] delimiters into one certificate per run (events
-    before the first delimiter, if any, form an unlabelled certificate). *)
-
 val pp_violation : Format.formatter -> violation -> unit
 val to_json : certificate -> Json.t
 

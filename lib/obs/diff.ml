@@ -259,9 +259,6 @@ let pair_reports ~base ~cand =
   in
   { pairs = List.rev !pairs; only_base = List.rev !only_base; only_cand }
 
-let of_traces ~base ~cand =
-  pair_reports ~base:(Profile.of_trace base) ~cand:(Profile.of_trace cand)
-
 (* ----------------------------------------------------------- rendering *)
 
 let status_text = function

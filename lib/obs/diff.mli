@@ -76,11 +76,7 @@ type pairing = {
 val pair_reports :
   base:Profile.report list -> cand:Profile.report list -> pairing
 (** Pairs multi-run traces' profiles by label (first unconsumed match on
-    each side, in base order). *)
-
-val of_traces : base:Event.t list -> cand:Event.t list -> pairing
-(** {!Profile.of_trace} both sides, then {!pair_reports} — the engine of
-    [colock why]. *)
+    each side, in base order) — the engine of [colock why]. *)
 
 val to_json : report -> Json.t
 val pairing_to_json : pairing -> Json.t

@@ -456,30 +456,3 @@ let of_json = function
     let* kind = kind_of_fields event_name fields in
     Ok { time; kind }
   | _ -> Error "event is not a JSON object"
-
-let pp formatter event =
-  Format.fprintf formatter "%s" (Json.to_string (to_json event))
-
-(* One JSONL file can hold several runs, delimited by [Run_meta] events. *)
-let split_runs iter ~start ~push ~flush =
-  let flushed = ref [] and label = ref None and current = ref None in
-  let close () =
-    (match !current, !label with
-     | None, None -> ()
-     | run, label ->
-       let run = match run with Some run -> run | None -> start () in
-       flushed := flush label run :: !flushed);
-    current := None
-  in
-  iter (fun event ->
-      match event.kind, !current with
-      | Run_meta { label = next }, _ ->
-        close ();
-        label := Some next
-      | _, Some run -> push run event
-      | _, None ->
-        let run = start () in
-        current := Some run;
-        push run event);
-  close ();
-  List.rev !flushed

@@ -140,19 +140,3 @@ val to_json : t -> Json.t
 val of_json : Json.t -> (t, string) result
 (** Inverse of {!to_json}: decodes one trace line back into a typed event,
     accepting exactly the field layout the encoder writes. *)
-
-val pp : Format.formatter -> t -> unit
-
-val split_runs :
-  ((t -> unit) -> unit) ->
-  start:(unit -> 'run) ->
-  push:('run -> t -> unit) ->
-  flush:(string option -> 'run -> 'a) ->
-  'a list
-(** [split_runs iter ~start ~push ~flush] splits the stream [iter] feeds at
-    its [Run_meta] delimiters: [start] opens a run's accumulator when the
-    run's first event arrives, [push] feeds it every event but the
-    delimiters, and [flush label run] closes it, in stream order. Events
-    before the first delimiter form an unlabelled run; a delimiter with no
-    events still flushes an (empty) labelled run. Only the open run is held,
-    so a streamed trace splits in constant memory. *)

@@ -57,8 +57,6 @@ let of_spans ?label spans =
 let of_report (report : Profile.report) =
   of_spans ?label:report.Profile.label report.Profile.spans
 
-let of_trace events = List.map of_report (Profile.of_trace events)
-
 let pp formatter flame =
   List.iter
     (fun { frames; weight } ->

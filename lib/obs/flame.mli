@@ -23,9 +23,6 @@ val total : t -> float
 val of_spans : ?label:string -> Profile.span list -> t
 val of_report : Profile.report -> t
 
-val of_trace : Event.t list -> t list
-(** One flame per [Run_meta]-delimited run, as {!Profile.of_trace}. *)
-
 val pp : Format.formatter -> t -> unit
 (** Expects a vertical box (see {!print}). *)
 

@@ -7,7 +7,6 @@ let set gauge value =
   if value > gauge.peak then gauge.peak <- value
 
 let add gauge delta = set gauge (gauge.value +. delta)
-let incr gauge = add gauge 1.0
 let decr gauge = add gauge (-1.0)
 let value gauge = gauge.value
 let peak gauge = gauge.peak

@@ -10,7 +10,6 @@ val create : unit -> t
 
 val set : t -> float -> unit
 val add : t -> float -> unit
-val incr : t -> unit
 val decr : t -> unit
 
 val value : t -> float

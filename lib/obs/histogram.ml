@@ -101,9 +101,6 @@ let row ?(prefix = "") histogram =
     (key "p99", quantile histogram 0.99);
     (key "max", max_value histogram) ]
 
-let to_json histogram =
-  Json.Obj (List.map (fun (key, value) -> (key, Json.Float value)) (row histogram))
-
 let pp formatter histogram =
   Format.fprintf formatter
     "count %d, mean %.1f, p50 %.1f, p95 %.1f, p99 %.1f, max %.1f"

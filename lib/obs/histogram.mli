@@ -33,5 +33,4 @@ val row : ?prefix:string -> t -> (string * float) list
 (** [count, mean, p50, p95, p99, max], each key optionally
     ["<prefix>_"]-qualified. *)
 
-val to_json : t -> Json.t
 val pp : Format.formatter -> t -> unit

@@ -130,8 +130,6 @@ let output ?(indent = 0) channel json =
   add ~indent buffer json;
   Buffer.output_buffer channel buffer
 
-let pp formatter json = Format.pp_print_string formatter (to_string ~indent:2 json)
-
 (* ------------------------------------------------------------- parsing *)
 
 (* Recursive-descent parser for the subset this module emits (which is all

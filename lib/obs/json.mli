@@ -28,8 +28,6 @@ val to_string : ?indent:int -> t -> string
 val output : ?indent:int -> out_channel -> t -> unit
 (** {!add} into a fresh buffer written in one piece; no flush. *)
 
-val pp : Format.formatter -> t -> unit
-
 val of_string : string -> (t, string) result
 (** Parses one JSON document. Numbers without a fractional part or exponent
     decode as [Int]; the rest as [Float] — mirroring the encoder's split.

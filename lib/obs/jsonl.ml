@@ -21,8 +21,6 @@ let handler ?meter channel =
     Buffer.output_buffer channel buffer;
     flush channel
 
-let write channel event = handler channel event
-
 let write_events channel events =
   let buffer = Buffer.create 4096 in
   List.iter (add_line buffer) events;
@@ -61,19 +59,52 @@ let iter ?(on_error = fun _ -> ()) in_channel f =
     done
   with End_of_file -> ()
 
-let read_events in_channel =
-  let events = ref [] in
-  let errors = ref [] in
-  iter
-    ~on_error:(fun message -> errors := message :: !errors)
-    in_channel
-    (fun event -> events := event :: !events);
-  (List.rev !events, List.rev !errors)
-
 let with_file path f =
   let in_channel = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr in_channel)
     (fun () -> f in_channel)
 
-let load path = with_file path read_events
+let load path =
+  let events = ref [] and errors = ref [] in
+  with_file path (fun in_channel ->
+      iter
+        ~on_error:(fun message -> errors := message :: !errors)
+        in_channel
+        (fun event -> events := event :: !events));
+  (List.rev !events, List.rev !errors)
+
+type summary = { decoded : int; delimited : bool }
+
+(* One file can hold several runs, each opened by a [Run_meta] line. The
+   open run's accumulator is made by its first event, so a run costs
+   nothing until it has one; a delimiter closes the run before it. *)
+let read_runs ?(on_error = fun _ -> ()) path ~start ~push ~flush =
+  let decoded = ref 0 and delimited = ref false and label = ref "run-0" in
+  let current = ref None in
+  let close () =
+    match !current with
+    | Some run ->
+      current := None;
+      flush !label run
+    | None -> if !delimited then flush !label (start !label)
+  in
+  with_file path (fun in_channel ->
+      iter ~on_error in_channel (fun event ->
+          incr decoded;
+          match event.Event.kind, !current with
+          | Event.Run_meta { label = next }, _ ->
+            close ();
+            delimited := true;
+            label := next
+          | _, Some run -> push run event
+          | _, None ->
+            let run = start !label in
+            current := Some run;
+            push run event));
+  (match !current with
+   | Some _ when not !delimited ->
+     on_error "no Run_meta delimiter; labelling the whole trace run-0"
+   | Some _ | None -> ());
+  close ();
+  { decoded = !decoded; delimited = !delimited }

@@ -315,14 +315,6 @@ let of_events ?label events =
   List.iter (handle profile) events;
   finish ?label profile
 
-(* A JSONL file can hold several runs, delimited by [Run_meta] lines; each
-   becomes its own report. *)
-let of_trace events =
-  Event.split_runs
-    (fun push -> List.iter push events)
-    ~start:create ~push:handle
-    ~flush:(fun label profile -> finish ?label profile)
-
 (* ------------------------------------------------------------ rendering *)
 
 let json_of_lu = function

@@ -9,7 +9,7 @@
     total blocked time as the raw [Lock_waited] durations in the stream.
 
     Works online (attach {!handle} to a {!Sink}, then {!finish}) and offline
-    ({!of_trace} on a decoded JSONL trace from {!Jsonl.load}). *)
+    (the same fold per run of a JSONL trace, through {!Jsonl.read_runs}). *)
 
 type outcome = Spans.outcome = Granted | Aborted of string | Unfinished
 
@@ -85,10 +85,6 @@ val finish : ?label:string -> t -> report
 
 val of_events : ?label:string -> Event.t list -> report
 (** One-shot fold over an in-memory event list. *)
-
-val of_trace : Event.t list -> report list
-(** Folds a decoded JSONL trace into one report per run, split by
-    {!Event.split_runs}. *)
 
 val to_json : report -> Json.t
 

@@ -47,7 +47,6 @@ let gauge registry name =
     gauge
 
 let set_gauge registry name value = Gauge.set (gauge registry name) value
-let add_gauge registry name delta = Gauge.add (gauge registry name) delta
 
 let gauge_value registry name =
   match Hashtbl.find_opt registry.gauges name with

@@ -33,7 +33,6 @@ val gauge : t -> string -> Gauge.t
 (** Get-or-create. *)
 
 val set_gauge : t -> string -> float -> unit
-val add_gauge : t -> string -> float -> unit
 val gauge_value : t -> string -> float
 (** 0 for a gauge never set. *)
 

@@ -8,32 +8,20 @@ type t = {
   mutable clock : unit -> float;
   mutable handlers : (Event.t -> unit) list;
   meter : meter;
-  mutable drop_sources : (unit -> int) list;
 }
 
 let default_clock () = 0.0
 
 let create ?(clock = default_clock) handlers =
-  { clock; handlers; meter = { m_emitted = 0; m_dropped = 0; m_bytes = 0 };
-    drop_sources = [] }
-
-let null () = create []
+  { clock; handlers; meter = { m_emitted = 0; m_dropped = 0; m_bytes = 0 } }
 
 let attach sink handler = sink.handlers <- sink.handlers @ [ handler ]
 let set_clock sink clock = sink.clock <- clock
-let now sink = sink.clock ()
 
 let meter sink = sink.meter
 let emit_count sink = sink.meter.m_emitted
 let bytes_written sink = sink.meter.m_bytes
-
-let add_drop_source sink count =
-  sink.drop_sources <- sink.drop_sources @ [ count ]
-
-let drop_count sink =
-  List.fold_left
-    (fun accu count -> accu + count ())
-    sink.meter.m_dropped sink.drop_sources
+let drop_count sink = sink.meter.m_dropped
 
 let emit_at sink ~time kind =
   match sink.handlers with
@@ -85,19 +73,14 @@ let sample ?meter ~seed ~every handler =
 let not_sim_step event =
   match event.Event.kind with Event.Sim_step _ -> false | _ -> true
 
-let to_ring ring event = Ring.push ring event
-
-let memory ?clock ?(capacity = 65536) ?keep () =
-  let ring = Ring.create ~capacity in
-  let sink =
-    match keep with
-    | None -> create ?clock [ to_ring ring ]
-    | Some keep ->
-      let sink = create ?clock [] in
-      attach sink (filter ~meter:sink.meter keep (to_ring ring));
-      sink
-  in
-  (* entries the full ring overwrote are drops too: backpressure stays
-     visible through [drop_count] instead of silently shrinking captures *)
-  add_drop_source sink (fun () -> Ring.dropped ring);
-  (sink, ring)
+(* The capture is kept newest first and reversed on read, so a capture
+   costs one cons per event whatever the run's length. *)
+let memory ?clock ?keep () =
+  let captured = ref [] in
+  let capture event = captured := event :: !captured in
+  let sink = create ?clock [] in
+  attach sink
+    (match keep with
+     | None -> capture
+     | Some keep -> filter ~meter:sink.meter keep capture);
+  (sink, fun () -> List.rev !captured)

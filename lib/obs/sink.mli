@@ -10,8 +10,8 @@
     rather than wall time.
 
     Every sink self-accounts: events emitted, events dropped by its
-    filter/sample stages (and ring overwrites), bytes written by JSONL
-    handlers wired to its {!meter}. [Monitor] surfaces these as [obs_*]
+    filter/sample stages, bytes written by JSONL handlers wired to its
+    {!meter}. [Monitor] surfaces these as [obs_*]
     meta-metrics, so the observability pipeline's own backpressure is never
     silent. *)
 
@@ -27,12 +27,8 @@ val create : ?clock:(unit -> float) -> (Event.t -> unit) list -> t
 (** Default clock is the constant 0 (callers that care pass their own, e.g.
     [Unix.gettimeofday]). *)
 
-val null : unit -> t
-(** A sink with no handlers: emission is a no-op. *)
-
 val attach : t -> (Event.t -> unit) -> unit
 val set_clock : t -> (unit -> float) -> unit
-val now : t -> float
 
 val meter : t -> meter
 (** The sink's own accounting cell — pass it to {!filter}/{!sample} or
@@ -43,15 +39,11 @@ val emit_count : t -> int
     are not counted — they never left the caller). *)
 
 val drop_count : t -> int
-(** Events dropped before reaching a terminal handler: filter/sample
-    discards recorded in the {!meter} plus every registered drop source
-    (e.g. ring-buffer overwrites — see {!memory}). *)
+(** Events dropped before reaching a terminal handler: the filter/sample
+    discards recorded in the {!meter}. *)
 
 val bytes_written : t -> int
 (** Bytes reported to the {!meter} by writing handlers. *)
-
-val add_drop_source : t -> (unit -> int) -> unit
-(** Registers an external drop counter folded into {!drop_count}. *)
 
 val emit : t -> Event.kind -> unit
 (** Stamps the event with the sink's clock and fans out to every handler. *)
@@ -62,8 +54,8 @@ val emit_at : t -> time:float -> Event.kind -> unit
 val filter :
   ?meter:meter -> (Event.t -> bool) -> (Event.t -> unit) -> Event.t -> unit
 (** [filter keep handler] wraps a handler so it only sees events where
-    [keep] holds — e.g. drop [Sim_step] noise before a ring or JSONL sink
-    floods on a long soak. Discards are counted in [?meter] when given. *)
+    [keep] holds — e.g. drop [Sim_step] noise before a capture or JSONL
+    sink floods on a long soak. Discards are counted in [?meter] when given. *)
 
 val sample :
   ?meter:meter -> seed:int -> every:int -> (Event.t -> unit) -> Event.t ->
@@ -78,13 +70,11 @@ val sample :
 val not_sim_step : Event.t -> bool
 (** Predicate for {!filter}: everything but [Sim_step]. *)
 
-val to_ring : Event.t Ring.t -> Event.t -> unit
-(** Handler that appends to a bounded ring buffer. *)
-
 val memory :
-  ?clock:(unit -> float) -> ?capacity:int -> ?keep:(Event.t -> bool) ->
-  unit -> t * Event.t Ring.t
-(** A sink backed by a fresh ring buffer (default capacity 65536). [?keep]
-    filters what reaches the ring (see {!filter}); everything still reaches
-    handlers attached later with {!attach}. Filter discards and ring
-    overwrites both show in the sink's {!drop_count}. *)
+  ?clock:(unit -> float) -> ?keep:(Event.t -> bool) -> unit ->
+  t * (unit -> Event.t list)
+(** A sink that captures the whole run in memory, with no bound: the
+    function returns every event captured so far, in emission order.
+    [?keep] filters what is captured (see {!filter}), and its discards show
+    in the sink's {!drop_count}; everything still reaches handlers attached
+    later with {!attach}. *)

@@ -11,7 +11,7 @@
 
    Rules are evaluated once per window (the monitor's span): each boundary
    crossing, every violated rule emits one [Slo_breach] event through the
-   run's sink — into the ring, the JSONL capture, the monitor itself — and
+   run's sink — into the capture, the JSONL file, the monitor itself — and
    is tallied so the CLI can exit nonzero. *)
 
 type comparator = Lt | Le | Gt | Ge

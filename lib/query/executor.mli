@@ -24,7 +24,7 @@ val protocol : t -> Colock.Protocol.t
 val refresh_statistics : t -> unit
 
 type write =
-  | Wrote_replace of { relation : string; before : Nf2.Value.t }
+  | Wrote_replace of { oid : Nf2.Oid.t; before : Nf2.Value.t }
   | Wrote_insert of { oid : Nf2.Oid.t }
   | Wrote_delete of { relation : string; before : Nf2.Value.t }
       (** successful write operations, with before-images where applicable *)

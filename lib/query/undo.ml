@@ -3,7 +3,7 @@ module Value = Nf2.Value
 module Graph = Colock.Instance_graph
 
 type record =
-  | Replaced of { relation : string; before : Value.t }
+  | Replaced of { oid : Oid.t; before : Value.t }
   | Inserted of { oid : Oid.t }
   | Deleted of { relation : string; before : Value.t }
 
@@ -18,8 +18,7 @@ let attach undo executor =
   Executor.set_write_hook executor (fun txn write ->
       let record =
         match write with
-        | Executor.Wrote_replace { relation; before } ->
-          Replaced { relation; before }
+        | Executor.Wrote_replace { oid; before } -> Replaced { oid; before }
         | Executor.Wrote_insert { oid } -> Inserted { oid }
         | Executor.Wrote_delete { relation; before } ->
           Deleted { relation; before }
@@ -45,10 +44,10 @@ let apply_record executor record =
   let graph = Colock.Protocol.graph (Executor.protocol executor) in
   let catalog = Nf2.Database.catalog db in
   match record with
-  | Replaced { relation; before } -> (
+  | Replaced { oid; before } -> (
     (* value-level update: graph structure unchanged *)
-    match Nf2.Database.replace db relation before with
-    | Ok _oid -> Ok ()
+    match Nf2.Database.replace db oid before with
+    | Ok () -> Ok ()
     | Error db_error -> Error (Executor.Database_error db_error))
   | Inserted { oid } -> (
     match Graph.delete_object graph oid with

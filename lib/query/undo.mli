@@ -15,7 +15,7 @@ val attach : t -> Executor.t -> unit
     is recorded here automatically. *)
 
 type record =
-  | Replaced of { relation : string; before : Nf2.Value.t }
+  | Replaced of { oid : Nf2.Oid.t; before : Nf2.Value.t }
       (** an in-place object update; [before] is the prior version *)
   | Inserted of { oid : Nf2.Oid.t }  (** a fresh object: undo deletes it *)
   | Deleted of { relation : string; before : Nf2.Value.t }

@@ -404,19 +404,18 @@ let audit sim time =
 let run ?(config = default_config) ?(faults = Fault.none)
     ?(on_begin = fun _txn -> ()) ?obs ~table jobs =
   let obs = match obs with Some _ -> obs | None -> Table.obs table in
-  (* The controller needs live contention signals: give the run a private
-     monitor attached to the sink (creating a sink when the caller brought
-     none — overload control must work unobserved too). *)
-  let obs, ctl_monitor =
-    match config.overload with
-    | None -> (obs, None)
-    | Some _ ->
-      let sink =
-        match obs with Some sink -> sink | None -> Obs.Sink.null ()
-      in
+  (* The controller needs live contention signals: a private monitor on
+     the sink the lock table emits into, which must also carry the run's
+     own events. *)
+  let ctl_monitor =
+    match config.overload, Table.obs table, obs with
+    | None, _, _ -> None
+    | Some _, Some table_sink, Some sink when table_sink == sink ->
       let monitor = Obs.Monitor.create () in
       Obs.Sink.attach sink (Obs.Monitor.handle monitor);
-      (Some sink, Some monitor)
+      Some monitor
+    | Some _, _, _ ->
+      invalid_arg "Runner.run: overload control needs the lock table's sink"
   in
   let states =
     Array.of_list

@@ -71,9 +71,9 @@ type config = {
       (** closed-loop overload control. When set, job begins pass an
           admission gate (shed work shows up as [Metrics.shed] and
           [Admission] events), an AIMD controller re-sizes the concurrency
-          limit from live monitor windows, and restarts are subject to the
-          retry budget and circuit breaker. [None]: the engine behaves
-          exactly as before. *)
+          limit from live monitor windows over the lock table's sink, and
+          restarts are subject to the retry budget and circuit breaker.
+          [None]: the engine behaves exactly as before. *)
 }
 
 val default_config : config
@@ -97,4 +97,8 @@ val run :
     events (txn begin/commit, steps, deadlocks, victim and timeout aborts,
     give-ups). The sink's clock is re-pointed at virtual simulation time
     for the duration of the run, so lock events emitted by the table line
-    up with the simulator's integer ticks. *)
+    up with the simulator's integer ticks.
+
+    Overload control reads lock waits and lifecycle events from one sink,
+    so it raises [Invalid_argument] unless the table has a sink and [?obs]
+    is absent or that same sink. *)

@@ -87,8 +87,8 @@ let check_in checkout txn oid =
   | Some record ->
     if not record.exclusive then Error (Not_exclusive oid)
     else begin
-      match Nf2.Database.replace checkout.db (Oid.relation oid) record.value with
-      | Ok _oid -> Ok ()
+      match Nf2.Database.replace checkout.db oid record.value with
+      | Ok () -> Ok ()
       | Error db_error -> Error (Write_back db_error)
     end
 

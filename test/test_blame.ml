@@ -124,10 +124,10 @@ let test_aborted_and_unfinished_waits () =
    pins the blockers-list fallback: blame still conserves exactly against
    what Profile measures on the very same stream. *)
 let assert_conserves path =
-  let events, errors = Obs.Jsonl.load path in
+  let (_ : Obs.Event.t list), errors = Obs.Jsonl.load path in
   Alcotest.(check (list string)) (path ^ " decodes") [] errors;
-  let blames = Blame.of_trace events in
-  let profiles = Profile.of_trace events in
+  let blames = Trace_runs.blames path in
+  let profiles = Trace_runs.profiles path in
   check_int
     (path ^ ": same run split")
     (List.length profiles) (List.length blames);

@@ -315,7 +315,7 @@ let test_escalation_overclaims_children () =
       "claims 2 absorbed child(ren), trace shows 1" detail
   | _ -> Alcotest.fail "expected one escalation violation"
 
-let test_of_trace_splits_runs () =
+let test_trace_splits_runs () =
   let run label body =
     at 0.0 (Event.Run_meta { label }) :: body
   in
@@ -323,7 +323,7 @@ let test_of_trace_splits_runs () =
     run "first" [ at 1.0 (grant 1 "r1" "X"); at 2.0 (commit 1) ]
     @ run "second" [ at 1.0 (grant 2 "r1" "X"); at 2.0 (commit 2) ]
   in
-  match Certify.of_trace events with
+  match Trace_runs.with_trace events Trace_runs.certificates with
   | [ first; second ] ->
     check_bool "first label" true (first.Certify.label = Some "first");
     check_bool "second label" true (second.Certify.label = Some "second");
@@ -349,7 +349,7 @@ let graph_nodes graph =
    simply skipped, which is itself a legal schedule. *)
 let run_real_schedule seed =
   let graph = Lazy.force figure1 in
-  let sink, ring = Obs.Sink.memory () in
+  let sink, events = Obs.Sink.memory () in
   let table = Table.create ~obs:sink () in
   let protocol = Protocol.create graph table in
   let nodes = graph_nodes graph in
@@ -372,7 +372,7 @@ let run_real_schedule seed =
     Obs.Sink.emit sink (Event.Txn_commit { txn });
     ignore (Protocol.end_of_transaction protocol ~txn : Table.grant list)
   done;
-  Certify.of_events ~modes:Mode.certify_modes (Obs.Ring.to_list ring)
+  Certify.of_events ~modes:Mode.certify_modes (events ())
 
 let prop_real_stack_certifies =
   QCheck.Test.make ~count:25 ~name:"real protocol schedules certify clean"
@@ -390,7 +390,7 @@ let prop_real_stack_certifies =
 (* An escalation performed by the real mechanism must audit clean. *)
 let test_real_escalation_certifies () =
   let graph = Lazy.force figure1 in
-  let sink, ring = Obs.Sink.memory () in
+  let sink, events = Obs.Sink.memory () in
   let table = Table.create ~obs:sink () in
   let protocol = Protocol.create graph table in
   Obs.Sink.emit sink (Event.Txn_begin { txn = 1 });
@@ -413,7 +413,7 @@ let test_real_escalation_certifies () =
   Obs.Sink.emit sink (Event.Txn_commit { txn = 1 });
   ignore (Protocol.end_of_transaction protocol ~txn:1 : Table.grant list);
   let certificate =
-    Certify.of_events ~modes:Mode.certify_modes (Obs.Ring.to_list ring)
+    Certify.of_events ~modes:Mode.certify_modes (events ())
   in
   if not (Certify.certified certificate) then
     Alcotest.failf "escalated run not certified: %s"
@@ -937,7 +937,10 @@ let test_slash_step_trace () =
       (String.concat "; "
          (List.map (Format.asprintf "%a" Certify.pp_violation)
             certificate.Certify.violations));
-  match Obs.Flame.of_trace (List.rev !events) with
+  match
+    List.map Obs.Flame.of_report
+      (Trace_runs.profiles_of_events (List.rev !events))
+  with
   | [ flame ] ->
     Alcotest.(check (list (list string))) "frames"
       [ [ "db"; "seg"; "docs"; "d1"; "tags"; "/usr"; "mode:X" ] ]
@@ -961,8 +964,8 @@ let () =
             test_covered_release_is_not_shrinking;
           Alcotest.test_case "aborted attempt excluded" `Quick
             test_aborted_attempt_excluded;
-          Alcotest.test_case "of_trace splits runs" `Quick
-            test_of_trace_splits_runs ] );
+          Alcotest.test_case "trace splits into runs" `Quick
+            test_trace_splits_runs ] );
       ( "frontier",
         [ Alcotest.test_case "earliest pair is the witness" `Quick
             test_witness_is_earliest_pair;

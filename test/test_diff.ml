@@ -179,7 +179,11 @@ let test_pairing_drift () =
     labelled "calm" base_events @ labelled "extinct" base_events
   in
   let cand = labelled "calm" cand_events @ labelled "newborn" cand_events in
-  let pairing = Diff.of_traces ~base ~cand in
+  let pairing =
+    Diff.pair_reports
+      ~base:(Trace_runs.profiles_of_events base)
+      ~cand:(Trace_runs.profiles_of_events cand)
+  in
   check_int "one paired run" 1 (List.length pairing.Diff.pairs);
   Alcotest.(check (list string))
     "base-only run is drift" [ "extinct" ] pairing.Diff.only_base;
@@ -193,16 +197,21 @@ let test_pairing_drift () =
 (* ----------------------------------------------- fixture conservation *)
 
 let load_fixture path =
-  let events, errors = Obs.Jsonl.load path in
-  Alcotest.(check (list string)) (path ^ ": loads clean") [] errors;
-  events
+  let errors = ref [] in
+  let profiles =
+    Trace_runs.profiles
+      ~on_error:(fun message -> errors := message :: !errors)
+      path
+  in
+  Alcotest.(check (list string)) (path ^ ": loads clean") [] !errors;
+  profiles
 
 let test_fixture_conservation () =
   let analyze = load_fixture "analyze.t/fixture.jsonl" in
   let blame = load_fixture "blame.t/fixture.jsonl" in
   (* every run profile of one fixture diffed against every profile of the
      other (and itself): conservation cannot depend on the pairing *)
-  let sides = Profile.of_trace analyze @ Profile.of_trace blame in
+  let sides = analyze @ blame in
   List.iter
     (fun base ->
       List.iter

@@ -95,7 +95,8 @@ let test_index_maintained_on_replace () =
   let db = fig1 () in
   build_index db "effectors" "tool";
   (match
-     Nf2.Database.replace db "effectors"
+     Nf2.Database.replace db
+       (Oid.make ~relation:"effectors" ~key:"e2")
        (Workload.Figure1.effector ~key:"e2" ~tool:"t99")
    with
    | Ok _ -> ()
@@ -209,22 +210,26 @@ let random_step db state =
                   ~effectors:[] ])
         : (Oid.t, Nf2.Database.error) result)
   | 1 | 2 | 3 -> (
-    match Nf2.Relation.find cells (some_key ()) with
+    let key = some_key () in
+    match Nf2.Relation.find cells key with
     | Some value ->
       ignore
-        (Nf2.Database.replace db "cells" (edit_cell state value)
-          : (Oid.t, Nf2.Database.error) result)
+        (Nf2.Database.replace db
+           (Oid.make ~relation:"cells" ~key)
+           (edit_cell state value)
+          : (unit, Nf2.Database.error) result)
     | None -> ())
   | 4 -> (
     let effectors = Option.get (Nf2.Database.relation db "effectors") in
     match Nf2.Relation.objects effectors with
     | [] -> ()
     | objects ->
-      let _key, value = List.nth objects (Random.State.int state (List.length objects)) in
+      let key, value = List.nth objects (Random.State.int state (List.length objects)) in
       ignore
-        (Nf2.Database.replace db "effectors"
+        (Nf2.Database.replace db
+           (Oid.make ~relation:"effectors" ~key)
            (set_field "tool" (Value.Str pool.(Random.State.int state 7)) value)
-          : (Oid.t, Nf2.Database.error) result))
+          : (unit, Nf2.Database.error) result))
   | _ ->
     ignore
       (Nf2.Database.delete db (Oid.make ~relation:"cells" ~key:(some_key ()))

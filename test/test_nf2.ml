@@ -327,7 +327,8 @@ let test_relation_replace () =
   let v1 = Workload.Figure1.effector ~key:"e1" ~tool:"t1" in
   let v2 = Workload.Figure1.effector ~key:"e1" ~tool:"t9" in
   check_bool "insert" true (Result.is_ok (Nf2.Relation.insert store v1));
-  check_bool "replace" true (Result.is_ok (Nf2.Relation.replace store v2));
+  check_bool "replace" true
+    (Result.is_ok (Nf2.Relation.replace store ~key:"e1" v2));
   check_int "still one" 1 (Nf2.Relation.cardinality store);
   match Nf2.Relation.find store "e1" with
   | Some value -> check_bool "updated" true (Value.equal value v2)

@@ -179,9 +179,9 @@ let test_deterministic_ties () =
     "critical paths tie-break by txn" [ 1; 2 ]
     (List.map (fun t -> t.Profile.t_txn) report.Profile.txns)
 
-let test_of_trace_splits_runs () =
+let test_trace_splits_runs () =
   let reports =
-    Profile.of_trace
+    Trace_runs.profiles_of_events
       [ at 0.0 (Event.Run_meta { label = "alpha" });
         at 0.0 (wait ~blockers:[ 2 ] 1 "r" "X");
         at 30.0 (grant 1 "r" "X");
@@ -330,7 +330,7 @@ let () =
            test_deterministic_ties ]);
       ("trace",
        [ Alcotest.test_case "run_meta splitting" `Quick
-           test_of_trace_splits_runs;
+           test_trace_splits_runs;
          Alcotest.test_case "snapshot stats" `Quick test_snapshot_stats ]);
       ("jsonl",
        [ Alcotest.test_case "full round-trip" `Quick test_jsonl_roundtrip;

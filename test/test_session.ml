@@ -296,7 +296,7 @@ let test_timeout_expires_blocked_query () =
 
 (* Aborting a transaction the engine already aborted is a no-op. *)
 let test_abort_after_victim () =
-  let sink, ring = Obs.Sink.memory ~capacity:4096 () in
+  let sink, captured = Obs.Sink.memory () in
   let session = Session.create ~obs:sink (Workload.Figure1.database ()) in
   Session.set_library_read_only session ~relation:"effectors";
   let t1 = Session.begin_txn session in
@@ -305,13 +305,13 @@ let test_abort_after_victim () =
   let (_ : Query.Executor.row list) = ok (Session.query session t2 q3) in
   expect_queued "T1 crosses to r2" (Session.query session t1 q3);
   expect_victim "T2 closes the cycle" (Session.query session t2 q2);
-  let events = List.length (Obs.Ring.to_list ring) in
+  let events = List.length (captured ()) in
   let aborts = (stats session).Lockmgr.Lock_stats.victim_aborts in
   (match Session.abort session t2 with
    | Ok 0 -> ()
    | Ok count -> Alcotest.failf "expected nothing undone, got %d" count
    | Error _ -> Alcotest.fail "abort after a victim failed");
-  check_int "no event" events (List.length (Obs.Ring.to_list ring));
+  check_int "no event" events (List.length (captured ()));
   check_int "nothing counted" aborts
     (stats session).Lockmgr.Lock_stats.victim_aborts
 

@@ -284,7 +284,7 @@ let test_timeout_grant_race () =
 (* A client re-issuing a request that is still queued continues its wait:
    the deadline and the reported wait count from the first start. *)
 let test_timeout_survives_reissue () =
-  let sink, ring = Obs.Sink.memory ~capacity:256 () in
+  let sink, events = Obs.Sink.memory () in
   let _env, now, manager = timeout_env ~obs:sink () in
   let t1 = Txn.Txn_manager.begin_txn manager in
   let t2 = Txn.Txn_manager.begin_txn manager in
@@ -309,7 +309,7 @@ let test_timeout_survives_reissue () =
         match event.Obs.Event.kind with
         | Obs.Event.Timeout_abort { waited; _ } -> Some waited
         | _ -> None)
-      (Obs.Ring.to_list ring)
+      (events ())
   in
   Alcotest.(check (list int)) "the whole wait reported" [ 100 ] waited
 
@@ -480,6 +480,47 @@ let test_checkin_writes_back () =
        (Value.equal (Value.Str "renamed"))
        (Value.project stored (Path.of_string "c_objects.obj_name")))
 
+(* A private copy whose key was edited cannot be written back: the
+   check-in would store a second object, with no graph node, beside the
+   one checked out. *)
+let test_checkin_refuses_key_change () =
+  let env, checkout, _file = make_checkout_env () in
+  let t1 = Txn.Txn_manager.begin_txn ~kind:Txn.Transaction.Long env.manager in
+  let original =
+    match Txn.Checkout.check_out checkout t1 c1_oid ~mode:`Update with
+    | Ok value -> value
+    | Error _ -> Alcotest.fail "check-out"
+  in
+  let rekeyed =
+    match original with
+    | Value.Tuple bindings ->
+      Value.Tuple
+        (List.map
+           (fun (field, sub) ->
+             if String.equal field "cell_id" then (field, Value.Str "c9")
+             else (field, sub))
+           bindings)
+    | _ -> Alcotest.fail "cell should be a tuple"
+  in
+  (match Txn.Checkout.update_local checkout t1 c1_oid rekeyed with
+   | Ok () -> ()
+   | Error _ -> Alcotest.fail "local update");
+  (match Txn.Checkout.check_in checkout t1 c1_oid with
+   | Error
+       (Txn.Checkout.Write_back
+          (Nf2.Database.Relation_error
+             (Nf2.Relation.Key_changed { key = "c1"; changed_to = "c9" }))) ->
+     ()
+   | Ok () -> Alcotest.fail "rekeyed check-in accepted"
+   | Error error ->
+     Alcotest.failf "unexpected error: %s"
+       (Format.asprintf "%a" Txn.Checkout.pp_error error));
+  let cells = Option.get (Nf2.Database.relation env.db "cells") in
+  Alcotest.(check (list string)) "cells holds only c1" [ "c1" ]
+    (Nf2.Relation.keys cells);
+  check_bool "c1 unchanged" true
+    (Value.equal original (Option.get (Nf2.Database.deref env.db c1_oid)))
+
 let test_finish_session_releases () =
   let env, checkout, _file = make_checkout_env () in
   let t1 = Txn.Txn_manager.begin_txn ~kind:Txn.Transaction.Long env.manager in
@@ -598,6 +639,8 @@ let () =
            test_checkin_requires_exclusive;
          Alcotest.test_case "check-in writes back" `Quick
            test_checkin_writes_back;
+         Alcotest.test_case "check-in refuses a key change" `Quick
+           test_checkin_refuses_key_change;
          Alcotest.test_case "finish session" `Quick
            test_finish_session_releases;
          Alcotest.test_case "commit keeps long locks" `Quick
