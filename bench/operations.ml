@@ -5,9 +5,7 @@
 module Mode = Lockmgr.Lock_mode
 
 (* E15 and E19 offer every job at once (MPL = jobs), two steps each, on a
-   four-cell catalog, so AB-BA deadlocks actually form. The table gets a
-   sink with no handlers, so E19's overload controller has lock waits to
-   watch. *)
+   four-cell catalog, so AB-BA deadlocks actually form. *)
 let all_at_once ~seed ~mpl technique =
   let graph, specs =
     Bench.Run.manufacturing
@@ -15,7 +13,7 @@ let all_at_once ~seed ~mpl technique =
       { Sim.Scenario.default_mix with jobs = mpl; arrival_gap = 0;
         steps_per_job = 2; read_fraction = 0.2; seed }
   in
-  Bench.Run.setup ~obs:(Some (Obs.Sink.create [])) graph technique specs
+  Bench.Run.setup ~obs:None graph technique specs
 
 (* ------------------------------------------------------------------ E15 *)
 
@@ -294,7 +292,7 @@ let e19_overload_control () =
      Whole-object locking (the paper's coarse baseline, so conflicts are\n\
      brutal), every job arriving at once (MPL = jobs), two steps per job.\n\
      Uncontrolled restarting vs wait-depth limiting (WDL) vs the adaptive\n\
-     AIMD admission gate fed by live monitor windows.";
+     AIMD admission gate steered by the run's own wait and abort windows.";
   let run ~mode ~mpl =
     let setup = all_at_once ~seed:19 ~mpl Workload.Dsl.Whole_object in
     let base =

@@ -298,11 +298,8 @@ let simulate_cmd =
         max_restarts; overload; check_invariants; snapshot_every; on_advance }
     in
     let faults = { faults with Sim.Fault.fault_seed = seed } in
-    (* overload control watches the lock table's sink, so it needs one *)
-    let observing =
-      trace_file <> None || stats_json_file <> None || jsonl_file <> None
-      || monitoring || overload <> None
-    in
+    let capturing = trace_file <> None || jsonl_file <> None in
+    let counting = stats_json_file <> None in
     let keep = if trace_all then None else Some Obs.Sink.not_sim_step in
     let monitor =
       if monitoring then Some (Obs.Monitor.create ~span:window ()) else None
@@ -323,19 +320,26 @@ let simulate_cmd =
     let runs =
       List.map
         (fun selector ->
-          (* the whole run's raw events, filtered by [keep], and a
-             collector for the counters and latency histograms, which see
-             every event *)
-          let capture =
-            if observing then begin
+          (* only what the flags read: the whole run's raw events, filtered
+             by [keep], for --trace and --jsonl; a collector for the
+             counters and latency histograms, which sees every event, for
+             --stats-json; the live monitor for --serve and --slo *)
+          let obs, events =
+            if capturing then
               let sink, events = Obs.Sink.memory ?keep () in
+              (Some sink, events)
+            else if counting || monitoring then
+              (Some (Obs.Sink.create []), Fun.const [])
+            else (None, Fun.const [])
+          in
+          let collector =
+            match obs with
+            | Some sink when counting ->
               let collector = Obs.Collector.create () in
               Obs.Sink.attach sink (Obs.Collector.handle collector);
-              Some (sink, events, collector)
-            end
-            else None
+              Some collector
+            | Some _ | None -> None
           in
-          let obs = Option.map (fun (sink, _, _) -> sink) capture in
           live_sink := obs;
           let run = Bench.Run.setup ~obs graph selector specs in
           (* one live monitor across techniques, restarted per technique so
@@ -373,41 +377,43 @@ let simulate_cmd =
              print_verdicts ~label:run.name
                (Obs.Slo.evaluate (Obs.Slo.watched watch) monitor)
            | _ -> ());
-          Option.map (fun capture -> (run, capture, metrics)) capture)
+          (run, events, collector, metrics))
         techniques
     in
     Option.iter Obs_http.stop server;
-    let captured = List.filter_map Fun.id runs in
     Option.iter
       (fun path ->
         with_out path (fun channel ->
             Obs.Trace.write channel
               (List.map
-                 (fun (run, (_, events, _), _) ->
-                   (run.Bench.Run.name, events ()))
-                 captured)))
+                 (fun (run, events, _, _) -> (run.Bench.Run.name, events ()))
+                 runs)))
       trace_file;
     Option.iter
       (fun path ->
         with_out path (fun channel ->
             List.iter
-              (fun (run, (_, events, _), _) ->
+              (fun (run, events, _, _) ->
                 write_run channel ~label:run.Bench.Run.name (events ()))
-              captured))
+              runs))
       jsonl_file;
     Option.iter
       (fun path ->
-        let stats (run, (_, _, collector), metrics) =
-          ( run.Bench.Run.name,
-            Obs.Json.Obj
-              (List.map
-                 (fun (key, value) -> (key, Obs.Json.Float value))
-                 (Bench.Run.row run metrics collector)
-               @ Obs.Registry.bucket_fields (Obs.Collector.registry collector))
-          )
+        let stats (run, _, collector, metrics) =
+          Option.map
+            (fun collector ->
+              ( run.Bench.Run.name,
+                Obs.Json.Obj
+                  (List.map
+                     (fun (key, value) -> (key, Obs.Json.Float value))
+                     (Bench.Run.row run metrics collector)
+                   @ Obs.Registry.bucket_fields
+                       (Obs.Collector.registry collector)) ))
+            collector
         in
         with_out path (fun channel ->
-            Obs.Json.output channel (Obs.Json.Obj (List.map stats captured));
+            Obs.Json.output channel
+              (Obs.Json.Obj (List.filter_map stats runs));
             output_char channel '\n'))
       stats_json_file;
     if !breach_total > 0 then begin

@@ -12,25 +12,22 @@ type t = {
   table : Lock_table.t;
   rights : Authz.Rights.t;
   rule : rule;
-  obs : Obs.Sink.t option;
 }
 
-let create ?(rule = Rule_4_prime) ?(rights = Authz.Rights.create ()) ?obs graph
+let create ?(rule = Rule_4_prime) ?(rights = Authz.Rights.create ()) graph
     table =
-  let obs = match obs with Some _ -> obs | None -> Lock_table.obs table in
   (* The table's lock events get tagged with the granule metadata of this
      protocol's lock graph (BLU/HoLU/HeLU + depth). *)
   Lock_table.set_meta table (Instance_graph.lu_resolver graph);
-  { graph; table; rights; rule; obs }
+  { graph; table; rights; rule }
 
 let graph protocol = protocol.graph
 let table protocol = protocol.table
 let rights protocol = protocol.rights
 let rule protocol = protocol.rule
-let obs protocol = protocol.obs
 
 let emit protocol kind =
-  match protocol.obs with
+  match Lock_table.obs protocol.table with
   | None -> ()
   | Some sink -> Obs.Sink.emit sink kind
 

@@ -25,24 +25,20 @@ type rule = Rule_4 | Rule_4_prime
 type t
 
 val create :
-  ?rule:rule -> ?rights:Authz.Rights.t -> ?obs:Obs.Sink.t ->
+  ?rule:rule -> ?rights:Authz.Rights.t ->
   Instance_graph.t -> Lockmgr.Lock_table.t -> t
 (** Default rule is [Rule_4_prime] with all-modifiable rights, which
-    coincides with rule 4 until rights are restricted. [?obs] defaults to the
-    sink of the lock table (if any), so attaching observability at the table
-    level covers the whole stack. *)
+    coincides with rule 4 until rights are restricted. The protocol emits
+    into the lock table's sink (if any), so attaching observability at the
+    table level covers the whole stack. *)
 
 val graph : t -> Instance_graph.t
 val table : t -> Lockmgr.Lock_table.t
 val rights : t -> Authz.Rights.t
 val rule : t -> rule
 
-val obs : t -> Obs.Sink.t option
-(** The observability sink in effect (explicit, or inherited from the
-    table). *)
-
 val emit : t -> Obs.Event.kind -> unit
-(** Emits an event through the attached sink; no-op when none. Used by the
+(** Emits an event through the table's sink; no-op when none. Used by the
     escalation manager and higher layers sharing this protocol instance. *)
 
 type reason =

@@ -197,8 +197,7 @@ let families ?(namespace = "colock") registry =
         [ ("", [], float_of_int value) ])
     (Registry.counters registry);
   List.iter
-    (fun (name, gauge) ->
-      add ~name ~type_:"gauge" [ ("", [], Gauge.value gauge) ])
+    (fun (name, value) -> add ~name ~type_:"gauge" [ ("", [], value) ])
     (Registry.gauges registry);
   List.iter
     (fun (name, histogram) ->

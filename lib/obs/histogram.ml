@@ -100,9 +100,3 @@ let row ?(prefix = "") histogram =
     (key "p95", quantile histogram 0.95);
     (key "p99", quantile histogram 0.99);
     (key "max", max_value histogram) ]
-
-let pp formatter histogram =
-  Format.fprintf formatter
-    "count %d, mean %.1f, p50 %.1f, p95 %.1f, p99 %.1f, max %.1f"
-    histogram.count (mean histogram) (quantile histogram 0.50)
-    (quantile histogram 0.95) (quantile histogram 0.99) (max_value histogram)

@@ -32,5 +32,3 @@ val bucket_counts : t -> (float * int) list
 val row : ?prefix:string -> t -> (string * float) list
 (** [count, mean, p50, p95, p99, max], each key optionally
     ["<prefix>_"]-qualified. *)
-
-val pp : Format.formatter -> t -> unit

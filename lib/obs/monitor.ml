@@ -32,14 +32,11 @@ type t = {
   resource_sketch : Sketch.t;
   blocker_sketch : Sketch.t;
   resources : (string, resource_stat) Hashtbl.t;
-  mutable breaches : (float * string) list;  (* newest first, capped *)
   mutable label : string option;
   mutable started : float;
   mutable now : float;
   mutable seen : bool;  (* any event at all (so [started] is meaningful) *)
 }
-
-let breach_memory = 32
 
 (* ----------------------------------------------------- instrument names *)
 
@@ -175,11 +172,9 @@ let charge_wait monitor (wait : Spans.span) =
    | Some { Event.lu_kind; _ } ->
      observe_window monitor (labelled window_wait lu_kind) blocked)
 
-let create ?registry ?(span = 200.0) ?(hot_k = 32) () =
+let create ?(span = 200.0) ?(hot_k = 32) () =
   if hot_k <= 0 then invalid_arg "Monitor.create: hot_k must be positive";
-  let registry =
-    match registry with Some registry -> registry | None -> Registry.create ()
-  in
+  let registry = Registry.create () in
   let collector = Collector.create ~registry () in
   let monitor =
     { registry; collector; span; mutex = Mutex.create ();
@@ -187,7 +182,7 @@ let create ?registry ?(span = 200.0) ?(hot_k = 32) () =
       resource_sketch = Sketch.create ~k:hot_k;
       blocker_sketch = Sketch.create ~k:hot_k;
       resources = Hashtbl.create 256;
-      breaches = []; label = None; started = 0.0; now = 0.0; seen = false }
+      label = None; started = 0.0; now = 0.0; seen = false }
   in
   (* pre-declare the unlabelled instruments so exports carry stable keys *)
   List.iter
@@ -197,7 +192,7 @@ let create ?registry ?(span = 200.0) ?(hot_k = 32) () =
     [ window_wait; window_grants; window_commits; window_aborts;
       window_deadlocks ];
   List.iter
-    (fun name -> ignore (Registry.gauge monitor.registry name : Gauge.t))
+    (fun name -> Registry.set_gauge monitor.registry name 0.0)
     [ gauge_active; gauge_entries; gauge_depth ];
   Spans.on_wait (Collector.spans collector) (charge_wait monitor);
   monitor
@@ -217,7 +212,6 @@ let reset monitor =
         && String.sub name 0 4 = "hot_"
       then Registry.remove_gauge monitor.registry name)
     (Registry.gauges monitor.registry);
-  monitor.breaches <- [];
   (* the next run keeps its own clock: its waits and windows age from its
      own first event, not from the previous run's last *)
   monitor.started <- 0.0;
@@ -244,12 +238,6 @@ let handle_kind monitor kind =
     mark_lu monitor window_grants lu
   | Event.Deadlock_detected _ ->
     mark_window monitor window_deadlocks
-  | Event.Slo_breach { rule; _ } ->
-    let kept =
-      monitor.breaches
-      |> List.filteri (fun index _ -> index < breach_memory - 1)
-    in
-    monitor.breaches <- (monitor.now, rule) :: kept
   | Event.Run_meta { label } ->
     reset monitor;
     monitor.label <- Some label
@@ -271,7 +259,7 @@ let handle_kind monitor kind =
   | Event.Timeout_abort _ | Event.Contention_abort _ | Event.Lock_waited _
   | Event.Lock_released _ | Event.Lock_requested _ | Event.Conversion _
   | Event.Escalation _ | Event.Deescalation _ | Event.Query_executed _
-  | Event.Sim_step _ | Event.Waits_for _ ->
+  | Event.Sim_step _ | Event.Waits_for _ | Event.Slo_breach _ ->
     ()
 
 let handle monitor event =
@@ -320,8 +308,6 @@ let hot_resources ?(top = 10) monitor =
 let hot_blockers ?(top = 10) monitor =
   Sketch.top ~n:top monitor.blocker_sketch
   |> List.map (fun (label, estimate, _error) -> (label, estimate))
-
-let breaches monitor = List.rev monitor.breaches
 
 let sync_sink monitor sink =
   Registry.set_gauge monitor.registry "obs_events_emitted"

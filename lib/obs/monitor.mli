@@ -41,7 +41,7 @@ type resource_stat = {
 
 type t
 
-val create : ?registry:Registry.t -> ?span:float -> ?hot_k:int -> unit -> t
+val create : ?span:float -> ?hot_k:int -> unit -> t
 (** [span] is the sliding-window length in clock units (default 200 —
     about an access-burst of simulator ticks; pass seconds-scale spans for
     wall-clock sinks). [hot_k] (default 32) bounds the hot-resource and
@@ -82,9 +82,6 @@ val hot_blockers : ?top:int -> t -> (string * float) list
 (** Transactions most blamed for others' wait time, [(label, blamed)]
     descending (labels ["T<id>"] or ["queue"]); sketch-bounded like
     {!hot_resources}. *)
-
-val breaches : t -> (float * string) list
-(** SLO breach events seen this run, oldest first (last 32 kept). *)
 
 val sync_sink : t -> Sink.t -> unit
 (** Copies the sink's self-accounting into [obs_events_emitted] /

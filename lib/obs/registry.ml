@@ -1,7 +1,7 @@
 type t = {
   counters : (string, int ref) Hashtbl.t;
   histograms : (string, Histogram.t) Hashtbl.t;
-  gauges : (string, Gauge.t) Hashtbl.t;
+  gauges : (string, float ref) Hashtbl.t;
   windows : (string, Window.t) Hashtbl.t;
 }
 
@@ -38,19 +38,14 @@ let observe registry name value = Histogram.observe (histogram registry name) va
 
 let find_histogram registry name = Hashtbl.find_opt registry.histograms name
 
-let gauge registry name =
+let set_gauge registry name value =
   match Hashtbl.find_opt registry.gauges name with
-  | Some gauge -> gauge
-  | None ->
-    let gauge = Gauge.create () in
-    Hashtbl.replace registry.gauges name gauge;
-    gauge
-
-let set_gauge registry name value = Gauge.set (gauge registry name) value
+  | Some cell -> cell := value
+  | None -> Hashtbl.replace registry.gauges name (ref value)
 
 let gauge_value registry name =
   match Hashtbl.find_opt registry.gauges name with
-  | Some gauge -> Gauge.value gauge
+  | Some cell -> !cell
   | None -> 0.0
 
 let remove_gauge registry name = Hashtbl.remove registry.gauges name
@@ -75,19 +70,21 @@ let sorted_bindings table =
 let counters registry =
   List.map (fun (name, cell) -> (name, !cell)) (sorted_bindings registry.counters)
 
+let gauges registry =
+  List.map (fun (name, cell) -> (name, !cell)) (sorted_bindings registry.gauges)
+
 let histograms registry = sorted_bindings registry.histograms
-let gauges registry = sorted_bindings registry.gauges
 let windows registry = sorted_bindings registry.windows
 
 let reset registry =
   Hashtbl.iter (fun _name cell -> cell := 0) registry.counters;
   Hashtbl.iter (fun _name histogram -> Histogram.reset histogram) registry.histograms;
-  Hashtbl.iter (fun _name gauge -> Gauge.reset gauge) registry.gauges;
+  Hashtbl.iter (fun _name cell -> cell := 0.0) registry.gauges;
   Hashtbl.iter (fun _name window -> Window.reset window) registry.windows
 
 let row registry =
   List.map (fun (name, value) -> (name, float_of_int value)) (counters registry)
-  @ List.map (fun (name, gauge) -> (name, Gauge.value gauge)) (gauges registry)
+  @ gauges registry
   @ List.concat_map
       (fun (name, histogram) -> Histogram.row ~prefix:name histogram)
       (histograms registry)
@@ -117,22 +114,3 @@ let to_json registry =
   Json.Obj
     (List.map (fun (name, value) -> (name, Json.Float value)) (row registry)
      @ bucket_fields registry)
-
-let pp formatter registry =
-  Format.fprintf formatter "@[<v>";
-  List.iter
-    (fun (name, value) -> Format.fprintf formatter "%s: %d@," name value)
-    (counters registry);
-  List.iter
-    (fun (name, gauge) ->
-      Format.fprintf formatter "%s: %a@," name Gauge.pp gauge)
-    (gauges registry);
-  List.iter
-    (fun (name, histogram) ->
-      Format.fprintf formatter "%s: %a@," name Histogram.pp histogram)
-    (histograms registry);
-  List.iter
-    (fun (name, window) ->
-      Format.fprintf formatter "%s: %a@," name Window.pp window)
-    (windows registry);
-  Format.fprintf formatter "@]"

@@ -29,10 +29,10 @@ val histogram : t -> string -> Histogram.t
 
 val find_histogram : t -> string -> Histogram.t option
 
-val gauge : t -> string -> Gauge.t
-(** Get-or-create. *)
-
 val set_gauge : t -> string -> float -> unit
+(** Sets the named gauge, a level that goes up and down, creating it on
+    first use. *)
+
 val gauge_value : t -> string -> float
 (** 0 for a gauge never set. *)
 
@@ -52,7 +52,7 @@ val counters : t -> (string * int) list
 (** Sorted by name. *)
 
 val histograms : t -> (string * Histogram.t) list
-val gauges : t -> (string * Gauge.t) list
+val gauges : t -> (string * float) list
 val windows : t -> (string * Window.t) list
 
 val row : t -> (string * float) list
@@ -72,5 +72,3 @@ val reset : t -> unit
 (** Zeroes every counter and gauge and clears every histogram and window —
     run isolation when one process compares several techniques against a
     single live registry. *)
-
-val pp : Format.formatter -> t -> unit

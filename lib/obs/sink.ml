@@ -44,32 +44,6 @@ let drop meter =
 let filter ?meter keep handler =
   fun event -> if keep event then handler event else drop meter
 
-(* Stratified sampling driven by an explicit seeded PRNG (a 64-bit LCG, the
-   MMIX constants): each consecutive stride of [every] events passes exactly
-   one, at a stride-local offset drawn from the PRNG.  The same seed always
-   selects the same events — runs stay reproducible — while the offsets
-   move around so periodic event patterns cannot alias with the stride. *)
-let sample ?meter ~seed ~every handler =
-  if every <= 0 then invalid_arg "Sink.sample: every must be positive";
-  let state = ref (Int64.of_int seed) in
-  let next_offset () =
-    state :=
-      Int64.add
-        (Int64.mul !state 6364136223846793005L)
-        1442695040888963407L;
-    Int64.to_int (Int64.shift_right_logical !state 33) mod every
-  in
-  let position = ref 0 in
-  let chosen = ref (next_offset ()) in
-  fun event ->
-    let passes = !position = !chosen in
-    position := !position + 1;
-    if !position >= every then begin
-      position := 0;
-      chosen := next_offset ()
-    end;
-    if passes then handler event else drop meter
-
 let not_sim_step event =
   match event.Event.kind with Event.Sim_step _ -> false | _ -> true
 

@@ -10,14 +10,14 @@
     rather than wall time.
 
     Every sink self-accounts: events emitted, events dropped by its
-    filter/sample stages, bytes written by JSONL handlers wired to its
+    filter stages, bytes written by JSONL handlers wired to its
     {!meter}. [Monitor] surfaces these as [obs_*]
     meta-metrics, so the observability pipeline's own backpressure is never
     silent. *)
 
 type meter = {
   mutable m_emitted : int;  (** events fanned out to at least one handler *)
-  mutable m_dropped : int;  (** events a filter/sample stage discarded *)
+  mutable m_dropped : int;  (** events a filter stage discarded *)
   mutable m_bytes : int;  (** bytes written by handlers that report here *)
 }
 
@@ -31,7 +31,7 @@ val attach : t -> (Event.t -> unit) -> unit
 val set_clock : t -> (unit -> float) -> unit
 
 val meter : t -> meter
-(** The sink's own accounting cell — pass it to {!filter}/{!sample} or
+(** The sink's own accounting cell — pass it to {!filter} or
     [Jsonl.handler] so their drops and bytes land here. *)
 
 val emit_count : t -> int
@@ -39,7 +39,7 @@ val emit_count : t -> int
     are not counted — they never left the caller). *)
 
 val drop_count : t -> int
-(** Events dropped before reaching a terminal handler: the filter/sample
+(** Events dropped before reaching a terminal handler: the filter
     discards recorded in the {!meter}. *)
 
 val bytes_written : t -> int
@@ -56,16 +56,6 @@ val filter :
 (** [filter keep handler] wraps a handler so it only sees events where
     [keep] holds — e.g. drop [Sim_step] noise before a capture or JSONL
     sink floods on a long soak. Discards are counted in [?meter] when given. *)
-
-val sample :
-  ?meter:meter -> seed:int -> every:int -> (Event.t -> unit) -> Event.t ->
-  unit
-(** [sample ~seed ~every handler] passes exactly one event out of every
-    consecutive [every], at a stride-local offset drawn from a PRNG seeded
-    with [seed] at construction — deterministic for a fixed seed, immune to
-    aliasing with periodic event patterns. Raises [Invalid_argument] when
-    [every <= 0]. Compose with {!filter} to sample within one event
-    class. Discards are counted in [?meter] when given. *)
 
 val not_sim_step : Event.t -> bool
 (** Predicate for {!filter}: everything but [Sim_step]. *)

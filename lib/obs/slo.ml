@@ -242,18 +242,15 @@ let breaches_of verdicts = List.filter (fun verdict -> not verdict.ok) verdicts
 type watch = {
   slo : t;
   monitor : Monitor.t;
-  sink : Sink.t option;
+  sink : Sink.t;
   every : float;
   mutable next_eval : float option;  (* None until the first event *)
   mutable breach_total : int;
 }
 
-let watch ?sink ?every slo monitor =
-  let every =
-    match every with Some every -> every | None -> Monitor.span monitor
-  in
-  if every <= 0.0 then invalid_arg "Slo.watch: every must be positive";
-  { slo; monitor; sink; every; next_eval = None; breach_total = 0 }
+let watch ~sink slo monitor =
+  { slo; monitor; sink; every = Monitor.span monitor; next_eval = None;
+    breach_total = 0 }
 
 let breach_count watcher = watcher.breach_total
 let watched watcher = watcher.slo
@@ -261,25 +258,12 @@ let watched watcher = watcher.slo
 let evaluate_now watcher ~time =
   let breaches = breaches_of (evaluate watcher.slo watcher.monitor) in
   watcher.breach_total <- watcher.breach_total + List.length breaches;
-  (match watcher.sink with
-   | None ->
-     (* no sink to carry the event: record straight into the monitor *)
-     List.iter
-       (fun { rule; value; _ } ->
-         Monitor.handle watcher.monitor
-           { Event.time;
-             kind =
-               Event.Slo_breach
-                 { rule = rule.text; value; threshold = rule.threshold } })
-       breaches
-   | Some sink ->
-     List.iter
-       (fun { rule; value; _ } ->
-         Sink.emit_at sink ~time
-           (Event.Slo_breach
-              { rule = rule.text; value; threshold = rule.threshold }))
-       breaches);
-  breaches
+  List.iter
+    (fun { rule; value; _ } ->
+      Sink.emit_at watcher.sink ~time
+        (Event.Slo_breach
+           { rule = rule.text; value; threshold = rule.threshold }))
+    breaches
 
 let handler watcher =
   fun event ->
@@ -293,7 +277,7 @@ let handler watcher =
       match watcher.next_eval with
       | None -> watcher.next_eval <- Some (time +. watcher.every)
       | Some boundary when time >= boundary ->
-        let (_ : verdict list) = evaluate_now watcher ~time in
+        evaluate_now watcher ~time;
         (* skip straight past silent gaps so one event cannot trigger a
            backlog of evaluations *)
         let rec advance boundary =
@@ -304,5 +288,5 @@ let handler watcher =
       | Some _ -> ())
 
 let finish watcher ~time =
-  let (_ : verdict list) = evaluate_now watcher ~time in
+  evaluate_now watcher ~time;
   watcher.breach_total

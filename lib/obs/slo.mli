@@ -13,7 +13,7 @@
 
     A {!watch} evaluates every rule once per window and emits one
     [Event.Slo_breach] per violated rule through the run's sink — so
-    breaches land in rings, JSONL captures, the monitor and any trace a
+    breaches land in captures, JSONL files, the monitor and any trace a
     later [colock analyze] reads — and tallies them for a nonzero exit. *)
 
 type comparator = Lt | Le | Gt | Ge
@@ -64,11 +64,10 @@ val measure : Monitor.t -> signal -> float
 
 type watch
 
-val watch : ?sink:Sink.t -> ?every:float -> t -> Monitor.t -> watch
-(** A periodic evaluator: attach {!handler} to the run's sink after the
-    monitor's handler. [every] is the evaluation period in clock units
-    (default: the monitor's window span). Breach events are emitted through
-    [?sink] when given, else recorded directly into the monitor. *)
+val watch : sink:Sink.t -> t -> Monitor.t -> watch
+(** A periodic evaluator, once per the monitor's window span: attach
+    {!handler} to the run's sink after the monitor's handler. Breach events
+    are emitted through [sink]. *)
 
 val handler : watch -> Event.t -> unit
 (** Evaluates whenever an event's timestamp crosses the next period

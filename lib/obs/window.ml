@@ -17,8 +17,6 @@ let create ?(limit = 8192) ~span () =
   if limit <= 0 then invalid_arg "Window.create: limit must be positive";
   { span; limit; samples = Queue.create (); last = 0.0; shed = 0 }
 
-let span window = window.span
-let last window = window.last
 let shed window = window.shed
 
 let expire window =
@@ -101,9 +99,3 @@ let row ?(prefix = "") window =
     (key "p95", quantile window 0.95);
     (key "p99", quantile window 0.99);
     (key "max", max_value window) ]
-
-let pp formatter window =
-  Format.fprintf formatter
-    "count %d over span %g, rate %.3f, p50 %.1f, p95 %.1f, p99 %.1f"
-    (count window) window.span (rate window) (quantile window 0.50)
-    (quantile window 0.95) (quantile window 0.99)

@@ -14,11 +14,6 @@ val create : ?limit:int -> span:float -> unit -> t
     live sample is evicted and counted in {!shed}. Raises
     [Invalid_argument] when [span <= 0] or [limit <= 0]. *)
 
-val span : t -> float
-
-val last : t -> float
-(** The latest clock value the window has seen (0 for a fresh window). *)
-
 val shed : t -> int
 (** Live samples evicted by the [limit] cap — visible backpressure, never
     silent. *)
@@ -50,5 +45,3 @@ val reset : t -> unit
 
 val row : ?prefix:string -> t -> (string * float) list
 (** [name_count/_rate/_p50/_p95/_p99/_max], mirroring {!Histogram.row}. *)
-
-val pp : Format.formatter -> t -> unit

@@ -164,7 +164,3 @@ let pop t =
       t.queue <- List.filter (fun (e : entry) -> e.seq <> best.seq) t.queue;
       t.inflight <- t.inflight + 1;
       Some best.txn
-
-let pp ppf t =
-  Format.fprintf ppf "admission{limit=%d inflight=%d queued=%d shed=%d}"
-    t.cur_limit t.inflight (List.length t.queue) t.shed

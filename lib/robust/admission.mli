@@ -71,5 +71,3 @@ val release : t -> unit
 val pop : t -> int option
 (** Highest-priority, oldest queued transaction, if a slot is free — the
     slot is taken (in-flight incremented) before returning. *)
-
-val pp : Format.formatter -> t -> unit

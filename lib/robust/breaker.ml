@@ -139,7 +139,3 @@ let allow t ~now =
 
 let reopen_at t =
   match t.st with Open -> Some (t.opened_at + t.cfg.open_for) | _ -> None
-
-let pp ppf t =
-  Format.fprintf ppf "breaker{%s commits=%d aborts=%d}"
-    (state_to_string t.st) t.commits t.aborts

@@ -47,5 +47,3 @@ val allow : t -> now:int -> bool
 val reopen_at : t -> int option
 (** When Open, the tick at which {!allow} will start probing — lets a
     deterministic scheduler park a restart instead of polling. *)
-
-val pp : Format.formatter -> t -> unit

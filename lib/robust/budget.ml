@@ -44,6 +44,3 @@ let try_retry t =
     t.denied <- t.denied + 1;
     false
   end
-
-let pp ppf t =
-  Format.fprintf ppf "budget{tokens=%.1f denied=%d}" t.tokens t.denied

@@ -27,5 +27,3 @@ val on_commit : t -> unit
 val try_retry : t -> bool
 (** Spend one token; [false] (and counts a denial) when the bucket is
     empty. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,9 +1,9 @@
-(** The sensing half of the admission closed loop. Every [every] ticks the
-    caller samples the live monitor (lock-wait p95, abort rate, wait-queue
-    depth) and feeds the readings to {!step}; the controller compares them
-    against its thresholds and moves the {!Admission} limit — multiplicative
-    decrease when any signal breaches, additive increase when all are
-    healthy. *)
+(** The deciding half of the admission closed loop. Every [every] ticks the
+    caller reads what it sensed itself (lock-wait p95 and abort rate over
+    its recent past, wait-queue depth now) and feeds the readings to
+    {!step}; the controller compares them against its thresholds and moves
+    the {!Admission} limit — multiplicative decrease when any signal
+    breaches, additive increase when all are healthy. *)
 
 type thresholds = {
   p95_wait : float;  (** lock-wait 95th percentile, virtual ticks *)

@@ -74,6 +74,15 @@ type event =
   | Snapshot  (* periodic wait-for-graph emission *)
   | Control  (* periodic AIMD admission-limit adjustment *)
 
+(* What the controller senses, over the last [sensing_span] ticks: the
+   length of every lock wait that ended (granted, or its waiter
+   sacrificed), and every outcome, a commit as 0 and an abort as 1, so the
+   mean is the abort rate. A victim counts 1 and a give-up one more, a
+   crash or hog release 1; shed work counts nothing. *)
+type senses = { waits : Obs.Window.t; outcomes : Obs.Window.t }
+
+let sensing_span = 200.0
+
 type sim = {
   table : Table.t;
   queue : event Event_queue.t;
@@ -81,17 +90,29 @@ type sim = {
   states : job_state array;
   obs : Obs.Sink.t option;
   mutable now : int;  (* virtual time of the event being handled *)
-  (* overload-control actuators (all absent when [config.overload] is);
-     the admission gate is the engine's *)
+  (* overload-control actuators and senses (all absent when
+     [config.overload] is); the admission gate is the engine's *)
   budget : Robust.Budget.t option;
   breaker : Robust.Breaker.t option;
-  controller : Robust.Controller.config option;
-  ctl_monitor : Obs.Monitor.t option;
-      (* private monitor the controller samples; attached to [obs] *)
+  controller : (Robust.Controller.config * senses) option;
   mutable wdl_aborts : int;
 }
 
 let state_of sim (txn : Transaction.t) = sim.states.(txn.Transaction.id - 1)
+
+let sense_wait sim waited =
+  match sim.controller with
+  | None -> ()
+  | Some (_, senses) ->
+    Obs.Window.observe senses.waits ~now:(float_of_int sim.now)
+      (float_of_int waited)
+
+let sense_outcome sim ~aborted =
+  match sim.controller with
+  | None -> ()
+  | Some (_, senses) ->
+    Obs.Window.observe senses.outcomes ~now:(float_of_int sim.now)
+      (if aborted then 1.0 else 0.0)
 
 (* Every emitting site tests [traced] first, so an untraced run builds no
    event payload. *)
@@ -125,7 +146,12 @@ let restart_or_give_up sim engine (txn : Transaction.t) reason ~waited =
   let time = sim.now in
   (* a job victimized while blocked keeps the time it already waited: that
      is real delay (the restart resets everything else) *)
-  state.total_wait <- state.total_wait + waited;
+  Option.iter
+    (fun waited ->
+      state.total_wait <- state.total_wait + waited;
+      sense_wait sim waited)
+    waited;
+  sense_outcome sim ~aborted:true;
   state.pending <- [];
   txn.Transaction.work <- 0;
   (* deadlock and timeout victims are counted by the engine *)
@@ -134,6 +160,7 @@ let restart_or_give_up sim engine (txn : Transaction.t) reason ~waited =
   with_breaker sim ~default:() (fun breaker ->
       Robust.Breaker.record_abort breaker ~now:time);
   let give_up reason =
+    sense_outcome sim ~aborted:true;
     state.status <- Gave_up;
     (* record when the job abandoned, so response time accounts for it *)
     state.commit_time <- time;
@@ -185,6 +212,7 @@ let client sim =
       (fun _engine txn ~waited ->
         let state = state_of sim txn in
         state.total_wait <- state.total_wait + waited;
+        sense_wait sim waited;
         Event_queue.schedule sim.queue ~time:sim.now (Resume state));
     admitted =
       (fun _engine txn ->
@@ -199,6 +227,7 @@ let client sim =
    It never dies waiting: crashes strike while locking or accessing. *)
 let crash sim engine time ~reason state =
   let grants = Txn_manager.release engine state.txn in
+  sense_outcome sim ~aborted:true;
   state.pending <- [];
   state.status <- Crashed;
   state.commit_time <- time;
@@ -216,6 +245,7 @@ let rec continue_locking sim engine time state =
       (* all steps done: commit *)
       state.status <- Committed;
       state.commit_time <- time;
+      sense_outcome sim ~aborted:false;
       if traced sim then
         emit sim (Obs.Event.Txn_commit { txn = txn.Transaction.id });
       (match sim.budget with
@@ -335,14 +365,15 @@ let handle sim engine time = function
       Event_queue.schedule sim.queue ~time:(time + period) Snapshot
     | Some _ | None -> ())
   | Control -> (
-    (* the closed loop: sample the private monitor, move the AIMD limit,
+    (* the closed loop: read the run's own senses, move the AIMD limit,
        surface the change as an event, and admit freed-up queued work *)
-    (match Txn_manager.admission engine, sim.controller, sim.ctl_monitor with
-     | Some admission, Some controller, Some monitor ->
-       let p95_wait =
-         Obs.Slo.measure monitor (Obs.Slo.Wait_quantile { q = 0.95; lu = None })
-       in
-       let abort_rate = Obs.Slo.measure monitor Obs.Slo.Abort_rate in
+    (match Txn_manager.admission engine, sim.controller with
+     | Some admission, Some (controller, { waits; outcomes }) ->
+       let now = float_of_int time in
+       Obs.Window.advance waits ~now;
+       Obs.Window.advance outcomes ~now;
+       let p95_wait = Obs.Window.quantile waits 0.95 in
+       let abort_rate = Obs.Window.mean outcomes in
        let queue_depth = Table.waiter_count sim.table in
        (match
           Robust.Controller.step controller admission ~p95_wait ~abort_rate
@@ -357,9 +388,9 @@ let handle sim engine time = function
                 queued = Robust.Admission.queued admission;
                 shed = Robust.Admission.shed_count admission }));
        Txn_manager.admit_queued engine
-     | _, _, _ -> ());
+     | _, _ -> ());
     match sim.controller with
-    | Some controller when not (Event_queue.is_empty sim.queue) ->
+    | Some (controller, _) when not (Event_queue.is_empty sim.queue) ->
       Event_queue.schedule sim.queue
         ~time:(time + controller.Robust.Controller.every)
         Control
@@ -404,19 +435,6 @@ let audit sim time =
 let run ?(config = default_config) ?(faults = Fault.none)
     ?(on_begin = fun _txn -> ()) ?obs ~table jobs =
   let obs = match obs with Some _ -> obs | None -> Table.obs table in
-  (* The controller needs live contention signals: a private monitor on
-     the sink the lock table emits into, which must also carry the run's
-     own events. *)
-  let ctl_monitor =
-    match config.overload, Table.obs table, obs with
-    | None, _, _ -> None
-    | Some _, Some table_sink, Some sink when table_sink == sink ->
-      let monitor = Obs.Monitor.create () in
-      Obs.Sink.attach sink (Obs.Monitor.handle monitor);
-      Some monitor
-    | Some _, _, _ ->
-      invalid_arg "Runner.run: overload control needs the lock table's sink"
-  in
   let states =
     Array.of_list
       (List.mapi
@@ -440,9 +458,12 @@ let run ?(config = default_config) ?(faults = Fault.none)
             Option.map Robust.Breaker.create overload.breaker);
       controller =
         Option.map
-          (fun (overload : overload) -> overload.controller)
+          (fun (overload : overload) ->
+            ( overload.controller,
+              { waits = Obs.Window.create ~span:sensing_span ();
+                outcomes = Obs.Window.create ~span:sensing_span () } ))
           config.overload;
-      ctl_monitor; wdl_aborts = 0 }
+      wdl_aborts = 0 }
   in
   let stats = Table.stats table in
   let victims = stats.Lockmgr.Lock_stats.victim_aborts in
@@ -469,7 +490,7 @@ let run ?(config = default_config) ?(faults = Fault.none)
      Event_queue.schedule sim.queue ~time:period Snapshot
    | Some _ | None -> ());
   (match sim.controller, Txn_manager.admission engine with
-   | Some controller, Some _ when Array.length states > 0 ->
+   | Some (controller, _), Some _ when Array.length states > 0 ->
      Event_queue.schedule sim.queue ~time:controller.Robust.Controller.every
        Control
    | _, _ -> ());

@@ -35,8 +35,8 @@ type overload = {
       (** AIMD concurrency limit + bounded priority entry queue; [None]
           disables the gate (restart policies et al. still apply) *)
   controller : Robust.Controller.config;
-      (** closed-loop sensing: how often to sample the run's monitor and
-          what signal levels count as overload *)
+      (** closed-loop sensing: how often to read the run's senses and what
+          signal levels count as overload *)
   budget : Robust.Budget.config option;  (** retry token bucket *)
   breaker : Robust.Breaker.config option;  (** abort-storm circuit breaker *)
 }
@@ -71,9 +71,10 @@ type config = {
       (** closed-loop overload control. When set, job begins pass an
           admission gate (shed work shows up as [Metrics.shed] and
           [Admission] events), an AIMD controller re-sizes the concurrency
-          limit from live monitor windows over the lock table's sink, and
-          restarts are subject to the retry budget and circuit breaker.
-          [None]: the engine behaves exactly as before. *)
+          limit from what the run senses itself (the p95 of the lock
+          waits and the abort rate of the outcomes that ended in the last
+          200 ticks), and restarts are subject to the retry budget and
+          circuit breaker. [None]: the engine behaves exactly as before. *)
 }
 
 val default_config : config
@@ -97,8 +98,6 @@ val run :
     events (txn begin/commit, steps, deadlocks, victim and timeout aborts,
     give-ups). The sink's clock is re-pointed at virtual simulation time
     for the duration of the run, so lock events emitted by the table line
-    up with the simulator's integer ticks.
-
-    Overload control reads lock waits and lifecycle events from one sink,
-    so it raises [Invalid_argument] unless the table has a sink and [?obs]
-    is absent or that same sink. *)
+    up with the simulator's integer ticks. Nothing the sink's handlers
+    do steers the run: overload control senses the simulator itself, so
+    an observed and an unobserved run decide alike. *)

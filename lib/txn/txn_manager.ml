@@ -33,7 +33,8 @@ type t = {
 and client = {
   arm : t -> Transaction.t -> epoch:int -> deadline:int -> unit;
   undo : t -> Transaction.t -> unit;
-  victim : t -> Transaction.t -> Transaction.abort_reason -> waited:int -> unit;
+  victim :
+    t -> Transaction.t -> Transaction.abort_reason -> waited:int option -> unit;
   woken : t -> Transaction.t -> waited:int -> unit;
   admitted : t -> Transaction.t -> unit;
   shed : t -> Transaction.t -> unit;
@@ -142,8 +143,9 @@ let wake engine grants =
 let sacrifice engine ~now txn reason =
   let resource, waited =
     match txn.Transaction.status with
-    | Transaction.Waiting { resource; since; _ } -> (resource, now - since)
-    | Transaction.Active | Transaction.Committed | Transaction.Aborted _ -> ("", 0)
+    | Transaction.Waiting { resource; since; _ } -> (resource, Some (now - since))
+    | Transaction.Active | Transaction.Committed | Transaction.Aborted _ ->
+      ("", None)
   in
   engine.client.undo engine txn;
   let grants = release engine txn in
@@ -163,7 +165,8 @@ let sacrifice engine ~now txn reason =
      if traced engine then
        emit engine
          (Obs.Event.Timeout_abort
-            { txn = txn.Transaction.id; resource; waited;
+            { txn = txn.Transaction.id; resource;
+              waited = Option.value waited ~default:0;
               lu = Table.resource_lu engine.table resource })
    | Transaction.Contention_victim | Transaction.User_abort ->
      (* the Contention_abort event was emitted by the restart policy *)
@@ -268,7 +271,6 @@ let make client ?clock ?obs ?admission ?(config = default_config) locks =
     next_id = 1; epoch = 0 }
 
 let create ?clock ?obs ?admission ?config protocol =
-  let obs = match obs with Some _ -> obs | None -> Protocol.obs protocol in
   make front_door ?clock ?obs ?admission ?config (`Protocol protocol)
 
 (* ----------------------------------------------------------------- waits *)

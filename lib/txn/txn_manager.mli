@@ -40,10 +40,12 @@ type client = {
       (** a wait with a timeout began: {!expire} it at [deadline] *)
   undo : t -> Transaction.t -> unit;
       (** a victim is about to lose its locks: undo its writes now *)
-  victim : t -> Transaction.t -> Transaction.abort_reason -> waited:int -> unit;
+  victim :
+    t -> Transaction.t -> Transaction.abort_reason -> waited:int option -> unit;
       (** the victim's locks are gone and the abort is counted; [waited] is
-          how long its interrupted wait lasted. Restart it under its id, or
-          finish it. *)
+          how long its interrupted wait lasted, [None] when it was not
+          waiting (a grant had already ended its wait). Restart it under
+          its id, or finish it. *)
   woken : t -> Transaction.t -> waited:int -> unit;
       (** a grant ended the transaction's wait *)
   admitted : t -> Transaction.t -> unit;
@@ -70,8 +72,7 @@ val create :
   ?clock:(unit -> int) -> ?obs:Obs.Sink.t ->
   ?admission:Robust.Admission.config -> ?config:config ->
   Colock.Protocol.t -> t
-(** [make front_door ... (`Protocol protocol)], with [?obs] defaulting to
-    the protocol's sink. *)
+(** [make front_door ... (`Protocol protocol)]. *)
 
 val protocol : t -> Colock.Protocol.t
 (** [Invalid_argument] for an engine over a bare table. *)

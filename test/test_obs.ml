@@ -136,45 +136,6 @@ let test_sink_filter_drops_sim_steps () =
   Obs.Sink.emit sink (Event.Txn_commit { txn = 1 });
   check_int "sim steps filtered out" 2 (List.length !seen)
 
-let test_sink_sample () =
-  let count = ref 0 in
-  let handler = Obs.Sink.sample ~seed:7 ~every:3 (fun _event -> incr count) in
-  let sink = Obs.Sink.create [ handler ] in
-  for step = 0 to 8 do
-    Obs.Sink.emit sink (Event.Sim_step { txn = 1; step })
-  done;
-  check_int "one event per stride of three passes" 3 !count;
-  Alcotest.check_raises "rejects non-positive rate"
-    (Invalid_argument "Sink.sample: every must be positive") (fun () ->
-      ignore
-        (Obs.Sink.sample ~seed:7 ~every:0 (fun _event -> ())
-          : Event.t -> unit))
-
-let test_sink_sample_seeded_regression () =
-  (* the stratified sampler is a pure function of (seed, every, arrival
-     order): pin the exact picks for one seed so the PRNG cannot drift *)
-  let picks seed =
-    let kept = ref [] in
-    let handler =
-      Obs.Sink.sample ~seed ~every:4 (fun event ->
-          match event.Event.kind with
-          | Event.Sim_step { step; _ } -> kept := step :: !kept
-          | _ -> ())
-    in
-    let sink = Obs.Sink.create [ handler ] in
-    for step = 0 to 19 do
-      Obs.Sink.emit sink (Event.Sim_step { txn = 1; step })
-    done;
-    List.rev !kept
-  in
-  let first = picks 42 in
-  check_int "one pick per stride" 5 (List.length first);
-  Alcotest.(check (list int)) "same seed, same picks" first (picks 42);
-  Alcotest.(check (list int))
-    "pinned picks for seed 42"
-    [ 2; 6; 10; 15; 18 ]
-    first
-
 let test_memory_keep_filters_capture_only () =
   let sink, events = Obs.Sink.memory ~keep:Obs.Sink.not_sim_step () in
   let collector = Obs.Collector.create () in
@@ -573,9 +534,6 @@ let () =
            test_collector_txn_response ]);
       ("sink",
        [ Alcotest.test_case "filter" `Quick test_sink_filter_drops_sim_steps;
-         Alcotest.test_case "sample" `Quick test_sink_sample;
-         Alcotest.test_case "sample seeded regression" `Quick
-           test_sink_sample_seeded_regression;
          Alcotest.test_case "memory keep" `Quick
            test_memory_keep_filters_capture_only ]);
       ("trace",
