@@ -491,6 +491,49 @@ let test_blocked_acquire_resumes () =
     check_mode "T2 holds c1 S" Mode.S (held env ~txn:2 cell_c1)
   | Protocol.Blocked _ -> Alcotest.fail "retry should succeed"
 
+(* ---------------------------------------------------------- Observability *)
+
+(* The protocol has no sink of its own: the grants of its plan and the
+   events it emits itself go to its lock table's sink, the grants tagged
+   with the lock graph's LUs; over a table with no sink it emits nothing. *)
+let test_emits_into_table_sink () =
+  let graph = Graph.build (Workload.Figure1.database ~c_objects:3 ()) in
+  let kinds = ref [] in
+  let sink =
+    Obs.Sink.create [ (fun event -> kinds := event.Obs.Event.kind :: !kinds) ]
+  in
+  let protocol = Protocol.create graph (Table.create ~obs:sink ()) in
+  (match
+     Protocol.acquire protocol ~txn:1 (Graph.node_exn graph (node robot_r1))
+       Mode.S
+   with
+   | Protocol.Acquired _ -> ()
+   | Protocol.Blocked _ -> Alcotest.fail "nothing else holds a lock");
+  let grants =
+    List.filter_map
+      (function
+        | Obs.Event.Lock_granted { resource; lu; _ } -> Some (resource, lu)
+        | _ -> None)
+      !kinds
+  in
+  check_bool "the plan's grants reach the table's sink" true
+    (List.mem "db1/seg1/cells/c1/robots/r1" (List.map fst grants));
+  check_bool "each tagged with its LU" true
+    (List.for_all
+       (fun (resource, lu) ->
+         Option.is_some lu && lu = Graph.lu_resolver graph resource)
+       grants);
+  let escalation =
+    Obs.Event.Escalation
+      { txn = 1; node = "db1"; mode = "S"; released_children = 0 }
+  in
+  Protocol.emit protocol escalation;
+  check_bool "and what the protocol emits" true (List.hd !kinds = escalation);
+  let seen = List.length !kinds in
+  Protocol.emit (Protocol.create graph (Table.create ())) escalation;
+  check_int "a sinkless table's protocol emits nowhere" seen
+    (List.length !kinds)
+
 (* --------------------------------------------- Oracle: no hidden conflicts *)
 
 let all_data_nodes env =
@@ -627,6 +670,9 @@ let () =
       ("blocking",
        [ Alcotest.test_case "blocked acquire resumes" `Quick
            test_blocked_acquire_resumes ]);
+      ("observability",
+       [ Alcotest.test_case "emits into the table's sink" `Quick
+           test_emits_into_table_sink ]);
       ("oracle",
        [ Alcotest.test_case "figure 7 oracle" `Quick test_oracle_on_figure7;
          QCheck_alcotest.to_alcotest prop_random_acquires_never_hide_conflicts
