@@ -48,10 +48,11 @@ type t
 val build : Nf2.Database.t -> t
 (** Materializes the full graph: every node gets a dense id and its
     parent's, and each relation a key table of its objects. No path is
-    rendered. Value updates in place need no rebuild; object insertion and
-    deletion are incremental through {!insert_object} and
-    {!delete_object}; other structural changes (adding members to a
-    collection, re-pointing references) need a rebuild. *)
+    rendered. After the build, {!Store} makes every change: it inserts and
+    deletes objects incrementally ({!insert_object}, {!delete_object}) and
+    replaces values without touching the graph, so other structural changes
+    (adding members to a collection, re-pointing references) need a
+    rebuild. *)
 
 val insert_object :
   t -> Nf2.Catalog.t -> Nf2.Schema.relation -> key:string -> Nf2.Value.t ->
@@ -61,8 +62,8 @@ val insert_object :
     entry-point memo. Costs the new subtree plus one sorted insertion into
     the relation's children and into each referencer list it touches; the
     result equals a fresh {!build} of the database. The value must already
-    be in the database (typechecked). Errors on unknown relation node or
-    duplicate key. *)
+    be in the database (typechecked): {!Store.insert} calls this after the
+    database insert. Errors on unknown relation node or duplicate key. *)
 
 val delete_object : t -> Nf2.Oid.t -> (unit, string) result
 (** Removes the object's subtree, key and referencer entries, and

@@ -16,23 +16,16 @@ type t
 
 val create : ?threshold:int -> Nf2.Database.t -> Colock.Protocol.t -> t
 (** [threshold] is the escalation threshold for lock planning (default 16).
-    Statistics are computed eagerly; call {!refresh_statistics} after bulk
-    loads. *)
+    Statistics are computed once, here. Writes go through a
+    {!Colock.Store} over the database and the protocol's instance graph. *)
 
 val database : t -> Nf2.Database.t
 val protocol : t -> Colock.Protocol.t
-val refresh_statistics : t -> unit
-
-type write =
-  | Wrote_replace of { oid : Nf2.Oid.t; before : Nf2.Value.t }
-  | Wrote_insert of { oid : Nf2.Oid.t }
-  | Wrote_delete of { relation : string; before : Nf2.Value.t }
-      (** successful write operations, with before-images where applicable *)
 
 val set_write_hook :
-  t -> (Lockmgr.Lock_table.txn_id -> write -> unit) -> unit
-(** Installs the (single) write observer — {!Undo.attach} uses this to
-    collect before-images for rollback. *)
+  t -> (Lockmgr.Lock_table.txn_id -> Colock.Store.change -> unit) -> unit
+(** Installs the (single) observer of the store's changes —
+    {!Undo.attach} logs them for rollback. *)
 
 type row = {
   oid : Nf2.Oid.t;  (** the complex object the row belongs to *)
@@ -66,6 +59,9 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
+val revert : t -> Colock.Store.change -> (unit, error) result
+(** {!Colock.Store.revert} on the executor's store, unseen by the hook. *)
+
 val run :
   t -> txn:Lockmgr.Lock_table.txn_id -> ?wait:bool -> Ast.t ->
   (result_set, error) result
@@ -82,8 +78,8 @@ val insert_object :
   t -> txn:Lockmgr.Lock_table.txn_id -> ?wait:bool -> string -> Nf2.Value.t ->
   (Nf2.Oid.t, error) result
 (** Inserts a complex object under the protocol: IX down to the relation
-    node, X on the new object's (future) node, then the database insert and
-    incremental instance-graph maintenance. A scan that S-locked the
+    node, X on the new object's (future) node, then {!Colock.Store.insert}
+    (database, indexes and instance graph). A scan that S-locked the
     relation node therefore blocks the insert — phantom protection at
     relation granularity (finer-granule phantom protection is the paper's
     §5 future work). *)
@@ -91,19 +87,20 @@ val insert_object :
 val delete_object :
   t -> txn:Lockmgr.Lock_table.txn_id -> ?wait:bool -> Nf2.Oid.t ->
   (unit, error) result
-(** Deletes a complex object under an X lock on its node (with the usual
-    propagations). Refused while other objects still reference it. *)
+(** Deletes a complex object through {!Colock.Store.delete}, under an X
+    lock on its node (with the usual propagations). Refused while other
+    objects still reference it. *)
 
 val apply_update :
   t -> txn:Lockmgr.Lock_table.txn_id -> row ->
   (Nf2.Value.t -> Nf2.Value.t) ->
   (unit, Nf2.Database.error) result
 (** Replaces the row's selected sub-value inside its complex object and writes
-    the object back (typechecked against the stored version, so only the
-    rebuilt path is walked). The caller must have run the query FOR UPDATE,
-    so the row's node is X-locked. The update must preserve structure
-    (member counts, reference targets); structural changes require
-    rebuilding the instance graph. It must also keep the object's key: an
+    the object back through {!Colock.Store.replace} (typechecked against the
+    stored version, so only the rebuilt path is walked). The caller must
+    have run the query FOR UPDATE, so the row's node is X-locked. The
+    replace is value-level, so the update must preserve structure (member
+    counts, reference targets). It must also keep the object's key: an
     update whose rebuilt object carries another key is refused with
     [Relation_error (Key_changed _)], writing nothing and logging no undo
     record. *)

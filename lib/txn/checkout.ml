@@ -2,15 +2,16 @@ module Table = Lockmgr.Lock_table
 module Mode = Lockmgr.Lock_mode
 module Protocol = Colock.Protocol
 module Graph = Colock.Instance_graph
+module Store = Colock.Store
 module Oid = Nf2.Oid
 
 type checkout_record = { value : Nf2.Value.t; exclusive : bool }
 
 type t = {
   manager : Txn_manager.t;
-  db : Nf2.Database.t;
+  central : Store.t;  (* the database and the manager's graph *)
   lock_file : string;
-  store : (Table.txn_id * string, checkout_record) Hashtbl.t;
+  store : (Table.txn_id * Oid.t, checkout_record) Hashtbl.t;
       (* private workstation databases, keyed by (txn, oid) *)
 }
 
@@ -39,9 +40,9 @@ let pp_error formatter = function
   | Write_back db_error -> Nf2.Database.pp_error formatter db_error
 
 let create ?(lock_file = "colock_long_locks.txt") manager db =
-  { manager; db; lock_file; store = Hashtbl.create 32 }
-
-let manager checkout = checkout.manager
+  let graph = Protocol.graph (Txn_manager.protocol manager) in
+  { manager; central = Store.create db graph; lock_file;
+    store = Hashtbl.create 32 }
 
 let check_out checkout txn oid ~mode =
   let graph = Protocol.graph (Txn_manager.protocol checkout.manager) in
@@ -56,62 +57,52 @@ let check_out checkout txn oid ~mode =
     | Txn_manager.Deadlock_victim -> Error Deadlock
     | Txn_manager.Waiting { node; blockers } -> Error (Blocked { node; blockers })
     | Txn_manager.Granted -> (
-      match Nf2.Database.deref checkout.db oid with
+      match Nf2.Database.deref (Store.database checkout.central) oid with
       | None -> Error (Unknown_object oid)
       | Some value ->
-        Hashtbl.replace checkout.store
-          (txn.Transaction.id, Oid.to_string oid)
+        Hashtbl.replace checkout.store (txn.Transaction.id, oid)
           { value; exclusive = (match mode with `Read -> false | `Update -> true) };
         Ok value))
 
 let local_copy checkout txn oid =
   Option.map
     (fun record -> record.value)
-    (Hashtbl.find_opt checkout.store (txn.Transaction.id, Oid.to_string oid))
+    (Hashtbl.find_opt checkout.store (txn.Transaction.id, oid))
 
 let update_local checkout txn oid value =
-  match Hashtbl.find_opt checkout.store (txn.Transaction.id, Oid.to_string oid) with
+  match Hashtbl.find_opt checkout.store (txn.Transaction.id, oid) with
   | None -> Error (Not_checked_out oid)
   | Some record ->
     if not record.exclusive then Error (Not_exclusive oid)
     else begin
-      Hashtbl.replace checkout.store
-        (txn.Transaction.id, Oid.to_string oid)
+      Hashtbl.replace checkout.store (txn.Transaction.id, oid)
         { record with value };
       Ok ()
     end
 
 let check_in checkout txn oid =
-  match Hashtbl.find_opt checkout.store (txn.Transaction.id, Oid.to_string oid) with
+  match Hashtbl.find_opt checkout.store (txn.Transaction.id, oid) with
   | None -> Error (Not_checked_out oid)
   | Some record ->
     if not record.exclusive then Error (Not_exclusive oid)
-    else begin
-      match Nf2.Database.replace checkout.db oid record.value with
-      | Ok () -> Ok ()
+    else
+      match Store.replace checkout.central oid record.value with
+      | Ok (_ : Store.change) -> Ok ()
       | Error db_error -> Error (Write_back db_error)
-    end
 
 let checked_out checkout txn =
   Hashtbl.fold
-    (fun (owner, oid_text) _record accu ->
-      if owner = txn.Transaction.id then
-        match Oid.of_string oid_text with
-        | Some oid -> oid :: accu
-        | None -> accu
-      else accu)
+    (fun (owner, oid) _record accu ->
+      if owner = txn.Transaction.id then oid :: accu else accu)
     checkout.store []
   |> List.sort Oid.compare
 
 let finish_session checkout txn =
   let grants = Txn_manager.commit ~release_long:true checkout.manager txn in
-  let stale =
-    Hashtbl.fold
-      (fun ((owner, _oid_text) as key) _record accu ->
-        if owner = txn.Transaction.id then key :: accu else accu)
-      checkout.store []
-  in
-  List.iter (Hashtbl.remove checkout.store) stale;
+  Hashtbl.filter_map_inplace
+    (fun (owner, _oid) record ->
+      if owner = txn.Transaction.id then None else Some record)
+    checkout.store;
   grants
 
 (* ------------------------------------------------------------ Persistence *)

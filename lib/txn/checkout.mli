@@ -28,8 +28,6 @@ val pp_error : Format.formatter -> error -> unit
 val create : ?lock_file:string -> Txn_manager.t -> Nf2.Database.t -> t
 (** [lock_file] defaults to ["colock_long_locks.txt"] (relative to cwd). *)
 
-val manager : t -> Txn_manager.t
-
 val check_out :
   t -> Transaction.t -> Nf2.Oid.t -> mode:[ `Read | `Update ] ->
   (Nf2.Value.t, error) result
@@ -43,8 +41,10 @@ val update_local : t -> Transaction.t -> Nf2.Oid.t -> Nf2.Value.t -> (unit, erro
 (** Mutates the private copy only (work happening on the workstation). *)
 
 val check_in : t -> Transaction.t -> Nf2.Oid.t -> (unit, error) result
-(** Writes the private copy back to the central database (requires an
-    exclusive check-out). Locks stay until {!finish_session} — strict 2PL. *)
+(** Writes the private copy back to the central database and the
+    manager's graph through {!Colock.Store.replace} (requires an exclusive
+    check-out), which refuses a copy whose object is gone or whose key was
+    edited. Locks stay until {!finish_session} — strict 2PL. *)
 
 val checked_out : t -> Transaction.t -> Nf2.Oid.t list
 (** Sorted. *)

@@ -574,57 +574,82 @@ let rec retarget db state value =
   | Value.List members -> Value.List (List.map (retarget db state) members)
   | Value.Str _ | Value.Int _ | Value.Real _ | Value.Bool _ -> value
 
-(* One structural change, made the way [Query.Executor] makes it: insert a
-   re-pointed copy of a random object under a fresh key, or delete a random
-   object the graph lets go of (it refuses referenced ones). Returns the
-   resources the change added. *)
-let random_dml db graph state step =
-  let store = pick state (Nf2.Database.relations db) in
-  let schema = Nf2.Relation.schema store in
-  match Nf2.Relation.objects store with
-  | [] -> []
-  | objects ->
+let id_like field =
+  String.length field >= 3
+  && String.equal (String.sub field (String.length field - 3) 3) "_id"
+
+(* A value-level edit: string leaves that name no graph node get a suffix.
+   Keys, references, members' "_id" fields and members without one (the
+   graph names those by their first atomic field) stay as they are, so a
+   fresh build of the edited database gives the same graph. *)
+let rec restyle state value =
+  match value with
+  | Value.Tuple bindings ->
+    Value.Tuple
+      (List.map
+         (fun (field, sub) ->
+           match sub with
+           | Value.Str text
+             when (not (id_like field)) && Random.State.bool state ->
+             (field, Value.Str (text ^ "'"))
+           | _ -> (field, restyle state sub))
+         bindings)
+  | Value.Set members -> Value.Set (List.map (restyle_member state) members)
+  | Value.List members -> Value.List (List.map (restyle_member state) members)
+  | Value.Str _ | Value.Int _ | Value.Real _ | Value.Bool _ | Value.Ref _ ->
+    value
+
+and restyle_member state member =
+  match member with
+  | Value.Tuple bindings
+    when List.exists
+           (fun (field, sub) ->
+             id_like field && Option.is_some (Value.render_atomic sub))
+           bindings ->
+    restyle state member
+  | _ -> member
+
+(* One write through [Colock.Store]: insert a re-pointed copy of a random
+   object under a fresh key, delete a random object the graph lets go of (it
+   refuses referenced ones), or restyle one in place. Returns the store's
+   change, if the write was accepted. *)
+let random_dml store state step =
+  let db = Colock.Store.database store in
+  let relation = pick state (Nf2.Database.relations db) in
+  let schema = Nf2.Relation.schema relation in
+  match Nf2.Relation.objects relation with
+  | [] -> None
+  | objects -> (
     let key, value = pick state objects in
-    if Random.State.bool state then begin
-      let fresh = Printf.sprintf "%s_%d" key step in
-      let value =
-        match retarget db state value with
-        | Value.Tuple bindings ->
-          Value.Tuple
-            (List.map
-               (fun (field, sub) ->
-                 if String.equal field schema.Nf2.Schema.key then
-                   (field, Value.Str fresh)
-                 else (field, sub))
-               bindings)
-        | other -> other
-      in
-      match Nf2.Database.insert db schema.Nf2.Schema.rel_name value with
-      | Error _ -> []
-      | Ok _oid -> (
-        match
-          Graph.insert_object graph (Nf2.Database.catalog db) schema
-            ~key:fresh value
-        with
-        | Ok node ->
-          let ancestor = Graph.id graph node in
-          List.filter_map
-            (fun current ->
-              if Node_id.is_ancestor ~ancestor (Graph.id graph current) then
-                Some (Graph.resource graph current)
-              else None)
-            (Graph.fold (fun current accu -> current :: accu) graph [])
-        | Error message -> failwith message)
-    end
-    else begin
-      let oid = Oid.make ~relation:schema.Nf2.Schema.rel_name ~key in
-      match Graph.delete_object graph oid with
-      | Error _ -> []
-      | Ok () -> (
-        match Nf2.Database.delete db oid with
-        | Ok () -> []
-        | Error _ -> failwith "database refused a delete the graph made")
-    end
+    let oid = Oid.make ~relation:schema.Nf2.Schema.rel_name ~key in
+    let written =
+      match Random.State.int state 3 with
+      | 0 ->
+        let fresh = Printf.sprintf "%s_%d" key step in
+        let value =
+          match retarget db state value with
+          | Value.Tuple bindings ->
+            Value.Tuple
+              (List.map
+                 (fun (field, sub) ->
+                   if String.equal field schema.Nf2.Schema.key then
+                     (field, Value.Str fresh)
+                   else (field, sub))
+                 bindings)
+          | other -> other
+        in
+        Colock.Store.insert store schema.Nf2.Schema.rel_name value
+      | 1 -> Colock.Store.delete store oid
+      | _ ->
+        Result.map_error
+          (fun db_error -> Colock.Store.Database db_error)
+          (Colock.Store.replace store oid (restyle state value))
+    in
+    match written with
+    | Ok change -> Some change
+    | Error (Colock.Store.Graph _) -> None
+    | Error (Colock.Store.Database db_error) ->
+      failwith (Format.asprintf "%a" Nf2.Database.pp_error db_error))
 
 (* ------------------------------------------------------ replacement check *)
 
@@ -748,6 +773,39 @@ let dml_case =
 
 let graph_nodes graph = Graph.fold (fun node accu -> node :: accu) graph []
 
+(* The maintained graph against a fresh build of the database: the same
+   nodes by path, with the same children, parent, kind, entry-point flag,
+   references and referencers. *)
+let equals_rebuild graph db =
+  let rebuilt = Graph.build db in
+  let ids graph nodes = List.map (Graph.id graph) nodes in
+  let same_node (node : Graph.node) =
+    let id = Graph.id graph node in
+    match Graph.node rebuilt id with
+    | None -> false
+    | Some other ->
+      let parent_id (graph, node) =
+        Option.map (Graph.id graph) (Graph.parent_node graph node)
+      in
+      List.equal Node_id.equal
+        (ids graph (Graph.children graph node))
+        (ids rebuilt (Graph.children rebuilt other))
+      && Bool.equal node.entry_point other.entry_point
+      && Colock.Lockable.equal node.kind other.kind
+      && List.equal Oid.equal node.refs_out other.refs_out
+      && String.equal (Graph.resource graph node) (Node_id.to_resource id)
+      && Option.equal Node_id.equal (parent_id (graph, node))
+           (parent_id (rebuilt, other))
+      && (match node.oid with
+          | None -> true
+          | Some oid ->
+            List.equal Node_id.equal
+              (ids graph (Graph.referencers graph oid))
+              (ids rebuilt (Graph.referencers rebuilt oid)))
+  in
+  Graph.node_count graph = Graph.node_count rebuilt
+  && List.for_all same_node (graph_nodes graph)
+
 let prop_maintained_graph_equals_rebuild =
   QCheck.Test.make
     ~name:"inserts/deletes keep the graph equal to a fresh build" ~count:100
@@ -755,46 +813,115 @@ let prop_maintained_graph_equals_rebuild =
     (fun (db_index, seed, steps) ->
       let db = dml_database db_index in
       let graph = Graph.build db in
+      let store = Colock.Store.create db graph in
       let state = Random.State.make [| seed |] in
       let resources =
         ref
           (List.map (Graph.resource graph) (graph_nodes graph))
       in
       for step = 1 to steps do
-        resources := random_dml db graph state step @ !resources
+        match random_dml store state step with
+        | Some (Colock.Store.Inserted { oid }) ->
+          (* the inserted subtree, whose resources a later delete may drop *)
+          let ancestor =
+            Graph.id graph (Option.get (Graph.object_node graph oid))
+          in
+          resources :=
+            List.filter_map
+              (fun current ->
+                if Node_id.is_ancestor ~ancestor (Graph.id graph current) then
+                  Some (Graph.resource graph current)
+                else None)
+              (graph_nodes graph)
+            @ !resources
+        | Some (Colock.Store.Replaced _ | Colock.Store.Deleted _) | None -> ()
       done;
       let rebuilt = Graph.build db in
-      let ids graph nodes = List.map (Graph.id graph) nodes in
-      let same_node (node : Graph.node) =
-        let id = Graph.id graph node in
-        match Graph.node rebuilt id with
-        | None -> false
-        | Some other ->
-          let parent_id (graph, node) =
-            Option.map (Graph.id graph) (Graph.parent_node graph node)
-          in
-          List.equal Node_id.equal
-            (ids graph (Graph.children graph node))
-            (ids rebuilt (Graph.children rebuilt other))
-          && Bool.equal node.entry_point other.entry_point
-          && Colock.Lockable.equal node.kind other.kind
-          && List.equal Oid.equal node.refs_out other.refs_out
-          && String.equal (Graph.resource graph node) (Node_id.to_resource id)
-          && Option.equal Node_id.equal (parent_id (graph, node))
-               (parent_id (rebuilt, other))
-          && (match node.oid with
-              | None -> true
-              | Some oid ->
-                List.equal Node_id.equal
-                  (ids graph (Graph.referencers graph oid))
-                  (ids rebuilt (Graph.referencers rebuilt oid)))
-      in
       let lu graph resource = Graph.lu_resolver graph resource in
-      Graph.node_count graph = Graph.node_count rebuilt
-      && List.for_all same_node (graph_nodes graph)
+      equals_rebuild graph db
       && List.for_all
            (fun resource -> lu graph resource = lu rebuilt resource)
            !resources)
+
+(* Every relation's objects, in key order. *)
+let database_dump db =
+  List.concat_map
+    (fun relation ->
+      List.map
+        (fun (key, value) -> (Nf2.Relation.name relation, key, value))
+        (Nf2.Relation.objects relation))
+    (Nf2.Database.relations db)
+
+let prop_revert_restores =
+  QCheck.Test.make
+    ~name:"reverting store writes restores the database, indexes and graph"
+    ~count:100 dml_case
+    (fun (db_index, seed, steps) ->
+      let db = dml_database db_index in
+      (* an index on every atomic path the schemas allow *)
+      let indexed =
+        List.concat_map
+          (fun relation ->
+            let name = Nf2.Relation.name relation in
+            List.filter_map
+              (fun path ->
+                match Nf2.Database.create_index db ~relation:name path with
+                | Ok () -> Some (name, path)
+                | Error _ -> None)
+              (Nf2.Schema.attr_paths (Nf2.Relation.schema relation)))
+          (Nf2.Database.relations db)
+      in
+      (* every atomic value an indexed path holds at some point: the probes *)
+      let probes = Hashtbl.create 64 in
+      let note_probes () =
+        List.iter
+          (fun (name, path) ->
+            Nf2.Relation.fold
+              (fun _key value () ->
+                List.iter
+                  (fun probe -> Hashtbl.replace probes (name, path, probe) ())
+                  (Value.project value path))
+              (Option.get (Nf2.Database.relation db name))
+              ())
+          indexed
+      in
+      note_probes ();
+      let initial = database_dump db in
+      let graph = Graph.build db in
+      let store = Colock.Store.create db graph in
+      let state = Random.State.make [| seed |] in
+      let changes = ref [] in
+      for step = 1 to steps do
+        Option.iter
+          (fun change ->
+            changes := change :: !changes;
+            note_probes ())
+          (random_dml store state step)
+      done;
+      let reverted =
+        List.for_all
+          (fun change -> Result.is_ok (Colock.Store.revert store change))
+          !changes
+      in
+      let indexes_fresh =
+        Hashtbl.fold
+          (fun (name, path, probe) () fresh ->
+            let relation = Option.get (Nf2.Database.relation db name) in
+            fresh
+            && Nf2.Database.index_lookup db ~relation:name ~path probe
+               = Some
+                   (Nf2.Index.lookup
+                      (Result.get_ok (Nf2.Index.build relation path))
+                      probe))
+          probes true
+      in
+      reverted
+      && List.equal
+           (fun (r1, k1, v1) (r2, k2, v2) ->
+             String.equal r1 r2 && String.equal k1 k2 && Value.equal v1 v2)
+           initial (database_dump db)
+      && indexes_fresh
+      && equals_rebuild graph db)
 
 (* The planner as it stood before the graph was compiled, kept as the
    oracle: ancestors by hashed climbs over node ids, entry points by a walk,
@@ -924,6 +1051,7 @@ let prop_compiled_plan_matches_reference =
         else Protocol.Rule_4_prime
       in
       let protocol = Protocol.create ~rule ~rights graph (Table.create ()) in
+      let store = Colock.Store.create db graph in
       let agrees node =
         let mode = pick state [ Mode.IS; Mode.IX; Mode.S; Mode.SIX; Mode.X ] in
         let txn = 1 + Random.State.int state 3 in
@@ -966,7 +1094,7 @@ let prop_compiled_plan_matches_reference =
       let planned = upper @ sample () in
       let before = List.for_all agrees planned in
       for step = 1 to steps do
-        ignore (random_dml db graph state step : string list)
+        ignore (random_dml store state step : Colock.Store.change option)
       done;
       let survivors =
         List.filter (fun id -> Option.is_some (Graph.node graph id)) planned
@@ -1118,7 +1246,8 @@ let () =
       ("graph",
        List.map QCheck_alcotest.to_alcotest
          [ prop_nodes_at_path_matches_projection;
-           prop_maintained_graph_equals_rebuild ]);
+           prop_maintained_graph_equals_rebuild;
+           prop_revert_restores ]);
       ("compiled plan",
        Alcotest.test_case "large plans stay linear" `Quick
          test_large_plan_linear

@@ -521,6 +521,38 @@ let test_checkin_refuses_key_change () =
   check_bool "c1 unchanged" true
     (Value.equal original (Option.get (Nf2.Database.deref env.db c1_oid)))
 
+(* A check-in whose object the same transaction deleted meanwhile is
+   refused whole: writing it back would store an object the instance graph
+   has no node for. *)
+let test_checkin_after_delete_refused () =
+  let env, checkout, _file = make_checkout_env () in
+  let t1 = Txn.Txn_manager.begin_txn ~kind:Txn.Transaction.Long env.manager in
+  (match Txn.Checkout.check_out checkout t1 c1_oid ~mode:`Update with
+   | Ok _ -> ()
+   | Error _ -> Alcotest.fail "check-out");
+  let executor =
+    Query.Executor.create env.db (Txn.Txn_manager.protocol env.manager)
+  in
+  (match
+     Query.Executor.delete_object executor ~txn:t1.Txn.Transaction.id c1_oid
+   with
+   | Ok () -> ()
+   | Error error ->
+     Alcotest.failf "delete failed: %a" Query.Executor.pp_error error);
+  (match Txn.Checkout.check_in checkout t1 c1_oid with
+   | Error
+       (Txn.Checkout.Write_back
+          (Nf2.Database.Relation_error (Nf2.Relation.Unknown_key "c1"))) ->
+     ()
+   | Ok () -> Alcotest.fail "check-in of a deleted object accepted"
+   | Error error ->
+     Alcotest.failf "unexpected error: %a" Txn.Checkout.pp_error error);
+  let cells = Option.get (Nf2.Database.relation env.db "cells") in
+  Alcotest.(check (list string)) "cells stays empty" []
+    (Nf2.Relation.keys cells);
+  check_bool "no graph node for c1" true
+    (Graph.object_node env.graph c1_oid = None)
+
 let test_finish_session_releases () =
   let env, checkout, _file = make_checkout_env () in
   let t1 = Txn.Txn_manager.begin_txn ~kind:Txn.Transaction.Long env.manager in
@@ -641,6 +673,8 @@ let () =
            test_checkin_writes_back;
          Alcotest.test_case "check-in refuses a key change" `Quick
            test_checkin_refuses_key_change;
+         Alcotest.test_case "check-in after delete refused" `Quick
+           test_checkin_after_delete_refused;
          Alcotest.test_case "finish session" `Quick
            test_finish_session_releases;
          Alcotest.test_case "commit keeps long locks" `Quick
