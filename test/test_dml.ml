@@ -156,6 +156,26 @@ let test_executor_delete_referenced () =
   | Error (Query.Executor.Graph_error _) -> ()
   | Error _ | Ok () -> Alcotest.fail "must refuse deleting referenced data"
 
+(* An absent key is reported as such; only a relation with no node is an
+   unknown relation. *)
+let test_executor_delete_absent () =
+  let env = make_env () in
+  let refused oid expected =
+    match Query.Executor.delete_object env.executor ~txn:1 oid with
+    | Error (Query.Executor.Database_error db_error) when db_error = expected
+      ->
+      ()
+    | Error error ->
+      Alcotest.failf "unexpected error: %a" Query.Executor.pp_error error
+    | Ok () -> Alcotest.fail "delete of an absent object accepted"
+  in
+  refused
+    (Oid.make ~relation:"cells" ~key:"c9")
+    (Nf2.Database.Relation_error (Nf2.Relation.Unknown_key "c9"));
+  refused
+    (Oid.make ~relation:"nowhere" ~key:"c1")
+    (Nf2.Database.Unknown_relation "nowhere")
+
 (* ----------------------------------------------------- Phantom protection *)
 
 let test_phantom_scan_blocks_insert () =
@@ -232,7 +252,8 @@ let () =
            test_executor_insert_duplicate_key;
          Alcotest.test_case "delete" `Quick test_executor_delete;
          Alcotest.test_case "delete referenced" `Quick
-           test_executor_delete_referenced ]);
+           test_executor_delete_referenced;
+         Alcotest.test_case "delete absent" `Quick test_executor_delete_absent ]);
       ("phantoms",
        [ Alcotest.test_case "scan blocks insert" `Quick
            test_phantom_scan_blocks_insert;

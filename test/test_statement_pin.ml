@@ -11,7 +11,9 @@
    Four digests pin the rows and errors of every statement, the final
    database, every index lookup, and the lock table's counters; a change to
    the parser, the executor, the store or the indexes that moves any of it
-   fails here. The digests are never edited. *)
+   fails here. The digests are never edited, with one recorded exception:
+   the statements digest was re-recorded once when a delete of an absent
+   key began to report the key, not an unknown relation (8 lines). *)
 
 module Value = Nf2.Value
 module Oid = Nf2.Oid
@@ -295,7 +297,7 @@ let stats_dump session =
           (Lockmgr.Lock_table.stats (Session.lock_table session))))
 
 let pinned =
-  [ ("statements", "5eb58a1c78a65a5d5bc349ecf8293aec");
+  [ ("statements", "07cdc59341c5d8f3c7782f76207d134c");
     ("database", "405c6028b289408522b7047d4140f36c");
     ("indexes", "c042ee91873629e49b6e9e4370d9ce3f");
     ("lock stats", "10be5d076c3f5c71ef25004e408cf7b8") ]
