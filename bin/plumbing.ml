@@ -44,7 +44,16 @@ let top_arg default ~doc =
 (* ------------------------------------------------- live monitoring common *)
 
 let window_arg =
-  Arg.(value & opt float 200.0
+  let ticks =
+    conv
+      (fun text ->
+        match float_of_string_opt text with
+        | Some ticks when Float.is_finite ticks && ticks > 0.0 -> Ok ticks
+        | Some _ | None ->
+          Error (Printf.sprintf "%S is not a finite positive tick count" text))
+      Format.pp_print_float
+  in
+  Arg.(value & opt ticks 200.0
        & info [ "window" ] ~docv:"TICKS"
            ~doc:"Sliding-window length (virtual clock ticks) behind the \
                  windowed rates, wait quantiles and SLO evaluation.")
