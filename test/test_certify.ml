@@ -315,6 +315,115 @@ let test_escalation_overclaims_children () =
       "claims 2 absorbed child(ren), trace shows 1" detail
   | _ -> Alcotest.fail "expected one escalation violation"
 
+let convert txn resource from_mode to_mode =
+  Event.Conversion { txn; resource; from_mode; to_mode; lu = None }
+
+let deescalate txn node mode = Event.Deescalation { txn; node; mode }
+
+let test_conversion_then_grant () =
+  let converted =
+    [ at 0.0 (begin_txn 1); at 0.0 (begin_txn 2);
+      at 1.0 (grant 1 "r1" "S");
+      at 2.0 (convert 1 "r1" "S" "X");
+      at 2.0 (grant ~immediate:false 1 "r1" "X") ]
+  in
+  check_bool "a conversion and its grant certify" true
+    (Certify.certified
+       (Certify.of_events
+          (converted @ [ at 3.0 (commit 1); at 3.0 (release 1 "r1") ])));
+  let certificate =
+    Certify.of_events
+      (converted
+      @ [ at 3.0 (grant 2 "r1" "S"); at 4.0 (commit 1); at 4.0 (commit 2) ])
+  in
+  match certificate.Certify.violations with
+  | [ Certify.Concurrent_conflict { resource; txn; mode; holder; holder_mode; _ } ]
+    ->
+    check_string "on the converted resource" "r1" resource;
+    check_int "the later grant" 2 txn;
+    check_string "in S" "S" mode;
+    check_int "against the converter" 1 holder;
+    check_string "who holds X" "X" holder_mode
+  | other ->
+    Alcotest.failf "expected exactly one concurrent conflict, got %d"
+      (List.length other)
+
+let test_deescalation_ends_growth () =
+  let certificate =
+    Certify.of_events
+      [ at 0.0 (begin_txn 1);
+        at 1.0 (grant 1 "db1" "IX");
+        at 1.0 (grant 1 "db1/a" "X");
+        at 2.0 (deescalate 1 "db1/a" "IX");
+        at 3.0 (grant 1 "db1/b" "X");
+        at 4.0 (commit 1) ]
+  in
+  match certificate.Certify.violations with
+  | [ Certify.Phase_violation { txn; released; released_seq; acquire } ] ->
+    check_int "violating txn" 1 txn;
+    check_string "the de-escalated node ends growth" "db1/a" released;
+    check_int "at the de-escalation" 4 released_seq;
+    check_string "then acquired" "db1/b" acquire.Certify.a_resource
+  | other ->
+    Alcotest.failf "expected exactly one phase violation, got %d"
+      (List.length other)
+
+(* Releases and de-escalations of what the transaction does not hold, some
+   of it never granted to anyone, certify exactly as events the certifier
+   ignores would in their place. *)
+let test_stray_releases_change_nothing () =
+  let schedule stray =
+    [ at 0.0 (begin_txn 1); at 0.0 (begin_txn 2);
+      at 1.0 (grant 1 "db1" "IX");
+      at 1.0 (grant 1 "db1/a" "IX");
+      at 1.0 (stray (release 1 "db1/b"));
+      at 2.0 (grant 1 "db1/a/x" "X");
+      at 2.0 (stray (release 2 "db1/a/x"));
+      at 2.0 (stray (deescalate 1 "db1/c" "S"));
+      at 2.0 (stray (deescalate 2 "db1/a" "IS"));
+      at 3.0 (grant 1 "db1/a/y" "X");
+      at 4.0 (commit 1);
+      at 4.0 (release 1 "db1/a/y");
+      at 4.0 (release 1 "db1/a/x");
+      at 4.0 (release 1 "db1/a");
+      at 4.0 (release 1 "db1");
+      at 5.0 (grant 2 "db1" "IS");
+      at 5.0 (grant 2 "db1/a" "IS");
+      at 5.0 (grant 2 "db1/a/x" "S");
+      at 5.0 (stray (release 2 "db1/zz/q"));
+      at 6.0 (commit 2);
+      at 6.0 (release 2 "db1/a/x");
+      at 6.0 (release 2 "db1/a");
+      at 6.0 (release 2 "db1") ]
+  in
+  let ignored = function
+    | Event.Lock_released { txn; _ } | Event.Deescalation { txn; _ } ->
+      Event.Sim_step { txn; step = 0 }
+    | kind -> kind
+  in
+  let with_strays = Certify.of_events (schedule Fun.id) in
+  check_bool "certified" true (Certify.certified with_strays);
+  check_string "the same certificate"
+    (Obs.Json.to_string (Certify.to_json (Certify.of_events (schedule ignored))))
+    (Obs.Json.to_string (Certify.to_json with_strays))
+
+let test_escalation_of_unheld_node () =
+  let certificate =
+    Certify.of_events
+      [ at 0.0 (begin_txn 1);
+        at 1.0 (grant 1 "db1" "IX");
+        at 2.0
+          (Event.Escalation
+             { txn = 1; node = "db1/a"; mode = "X"; released_children = 0 }) ]
+  in
+  match certificate.Certify.violations with
+  | [ Certify.Escalation_violation { node; detail; _ } ] ->
+    check_string "on the node" "db1/a" node;
+    check_string "reported" "escalated node is not held" detail
+  | other ->
+    Alcotest.failf "expected exactly one escalation violation, got %d"
+      (List.length other)
+
 let test_trace_splits_runs () =
   let run label body =
     at 0.0 (Event.Run_meta { label }) :: body
@@ -964,6 +1073,12 @@ let () =
             test_covered_release_is_not_shrinking;
           Alcotest.test_case "aborted attempt excluded" `Quick
             test_aborted_attempt_excluded;
+          Alcotest.test_case "conversion then its grant" `Quick
+            test_conversion_then_grant;
+          Alcotest.test_case "de-escalation ends growth" `Quick
+            test_deescalation_ends_growth;
+          Alcotest.test_case "stray releases change nothing" `Quick
+            test_stray_releases_change_nothing;
           Alcotest.test_case "trace splits into runs" `Quick
             test_trace_splits_runs ] );
       ( "frontier",
@@ -981,6 +1096,8 @@ let () =
             test_escalation_mode_too_weak;
           Alcotest.test_case "overclaimed children" `Quick
             test_escalation_overclaims_children;
+          Alcotest.test_case "unheld node" `Quick
+            test_escalation_of_unheld_node;
           Alcotest.test_case "real escalation certifies" `Quick
             test_real_escalation_certifies ] );
       ( "properties",
