@@ -40,10 +40,9 @@ let insert store relation value =
         | Error message -> Error (Graph message))
 
 let replace store oid value =
-  Result.bind (stored store oid) (fun before ->
-      Result.map
-        (fun () -> Replaced { oid; before })
-        (Nf2.Database.replace store.db oid value))
+  Result.map
+    (fun before -> Replaced { oid; before })
+    (Nf2.Database.replace store.db oid value)
 
 (* Stored, and let go of by the graph: the database delete succeeds. *)
 let delete store oid =

@@ -82,12 +82,9 @@ let replace db oid value =
       | Error _ as error -> error
       | Ok before ->
         List.iter
-          (fun index ->
-            match before with
-            | Some before -> Index.replace_entries index ~key ~before value
-            | None -> Index.insert_entries index ~key value)
+          (fun index -> Index.replace_entries index ~key ~before value)
           (indexes_of db name);
-        Ok ())
+        Ok before)
 
 let delete db oid =
   with_relation db (Oid.relation oid) (fun store ->

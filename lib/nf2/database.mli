@@ -27,14 +27,16 @@ val relations : t -> Relation.t list
 
 val insert : t -> string -> Value.t -> (Oid.t, error) result
 
-val replace : t -> Oid.t -> Value.t -> (unit, error) result
+val replace : t -> Oid.t -> Value.t -> (Value.t, error) result
 (** [replace db oid value] writes [value] as the new version of the object
-    [oid] names: {!Relation.replace}, then index upkeep. A value whose key
-    is not [oid]'s is refused with [Relation_error (Key_changed _)] before
-    it is typechecked. The relation hands back the version it replaced, so
-    the stored object is looked up once and the value is checked against
-    it ({!Value.typecheck_replacement}). An index whose renderings are
-    equal before and after is left alone ({!Index.replace_entries}). *)
+    [oid] names, {!Relation.replace} then index upkeep, and returns the
+    version it replaced. An oid naming no stored object is refused
+    ([Unknown_relation], then [Relation_error (Unknown_key _)]), then a
+    value whose key is not [oid]'s ([Relation_error (Key_changed _)]),
+    before it is typechecked. The stored object is looked up once and the
+    value is checked against it ({!Value.typecheck_replacement}). An index
+    whose renderings are equal before and after is left alone
+    ({!Index.replace_entries}). *)
 
 val delete : t -> Oid.t -> (unit, error) result
 

@@ -49,31 +49,28 @@ let insert rel value =
       Ok (Oid.make ~relation:(name rel) ~key)
     end
 
-(* A value whose key differs is refused before it is typechecked. Its own
-   key names the version it replaces, found once; the value is checked
-   against that version, so only what changed is walked, and the check
-   returns what the full check of [checked_key] returns. *)
+(* The version under [key] is found once. A free key is refused first,
+   then a value whose key differs, before it is typechecked. A value with
+   the same key is checked against the stored version, so only what
+   changed is walked, and the check returns what the full check of
+   [checked_key] returns. *)
 let replace rel ~key value =
-  match Value.key_of_object rel.schema value with
-  | Some changed_to when not (String.equal changed_to key) ->
-    Error (Key_changed { key; changed_to })
-  | own_key -> (
-    let stored =
-      match own_key with
-      | Some key -> String_map.find_opt key rel.tuples
-      | None -> None
-    in
-    let checked =
-      match stored with
-      | Some stored -> Value.typecheck_replacement rel.schema ~stored value
-      | None -> Value.typecheck_object rel.schema value
-    in
-    match checked, own_key with
-    | Error type_error, _ -> Error (Type_error type_error)
-    | Ok (), None -> Error (No_key rel.schema.Schema.rel_name)
-    | Ok (), Some key ->
-      rel.tuples <- String_map.add key value rel.tuples;
-      Ok stored)
+  match String_map.find_opt key rel.tuples with
+  | None -> Error (Unknown_key key)
+  | Some stored -> (
+    match Value.key_of_object rel.schema value with
+    | Some changed_to when not (String.equal changed_to key) ->
+      Error (Key_changed { key; changed_to })
+    | None -> (
+      match Value.typecheck_object rel.schema value with
+      | Error type_error -> Error (Type_error type_error)
+      | Ok () -> Error (No_key rel.schema.Schema.rel_name))
+    | Some _ -> (
+      match Value.typecheck_replacement rel.schema ~stored value with
+      | Error type_error -> Error (Type_error type_error)
+      | Ok () ->
+        rel.tuples <- String_map.add key value rel.tuples;
+        Ok stored))
 
 let delete rel key =
   if String_map.mem key rel.tuples then begin

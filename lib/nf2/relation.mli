@@ -20,15 +20,16 @@ val create : Schema.relation -> (t, error) result
 val schema : t -> Schema.relation
 val name : t -> string
 val insert : t -> Value.t -> (Oid.t, error) result
-val replace : t -> key:string -> Value.t -> (Value.t option, error) result
+val replace : t -> key:string -> Value.t -> (Value.t, error) result
 (** [replace rel ~key value] overwrites the object stored under [key] with
-    [value], and returns the version it replaced ([None] when the key was
-    free).
+    [value], and returns the version it replaced. A free [key] is refused
+    with [Unknown_key] before anything else is checked: a replace never
+    inserts.
 
     A replace keeps the key: a value whose own key is not [key] would be
     stored beside the old object, so it is refused with [Key_changed]
-    before anything else is checked. This is the one place keys are
-    checked for every writer (the executor's updates, check-ins, undo).
+    before it is typechecked. This is the one place keys are checked for
+    every writer (the executor's updates, check-ins, undo).
 
     The value is checked with {!Value.typecheck_replacement} against the
     version it replaces, found by the one lookup of its key, so an update

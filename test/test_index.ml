@@ -217,7 +217,7 @@ let random_step db state =
         (Nf2.Database.replace db
            (Oid.make ~relation:"cells" ~key)
            (edit_cell state value)
-          : (unit, Nf2.Database.error) result)
+          : (Value.t, Nf2.Database.error) result)
     | None -> ())
   | 4 -> (
     let effectors = Option.get (Nf2.Database.relation db "effectors") in
@@ -229,7 +229,7 @@ let random_step db state =
         (Nf2.Database.replace db
            (Oid.make ~relation:"effectors" ~key)
            (set_field "tool" (Value.Str pool.(Random.State.int state 7)) value)
-          : (unit, Nf2.Database.error) result))
+          : (Value.t, Nf2.Database.error) result))
   | _ ->
     ignore
       (Nf2.Database.delete db (Oid.make ~relation:"cells" ~key:(some_key ()))

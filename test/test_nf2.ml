@@ -330,9 +330,15 @@ let test_relation_replace () =
   check_bool "replace" true
     (Result.is_ok (Nf2.Relation.replace store ~key:"e1" v2));
   check_int "still one" 1 (Nf2.Relation.cardinality store);
-  match Nf2.Relation.find store "e1" with
-  | Some value -> check_bool "updated" true (Value.equal value v2)
-  | None -> Alcotest.fail "find failed"
+  (match Nf2.Relation.find store "e1" with
+   | Some value -> check_bool "updated" true (Value.equal value v2)
+   | None -> Alcotest.fail "find failed");
+  (* a replace never inserts, and an absent key is reported before the
+     changed key *)
+  (match Nf2.Relation.replace store ~key:"e7" v1 with
+   | Error (Nf2.Relation.Unknown_key "e7") -> ()
+   | Error _ | Ok _ -> Alcotest.fail "expected Unknown_key");
+  check_int "a free key stays free" 1 (Nf2.Relation.cardinality store)
 
 let test_relation_delete () =
   let store = make_effectors () in
