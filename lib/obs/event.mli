@@ -135,8 +135,13 @@ val lu_of : kind -> lu option
 val resource_of : kind -> string option
 (** The resource (or escalation node) an event refers to, when any. *)
 
-val to_json : t -> Json.t
+val add_line : Buffer.t -> t -> unit
+(** Appends the event's JSONL line, newline included: one JSON object
+    whose fields are [event], [time], then the kind's own payload. Keys
+    are constant text and values go through {!Json}'s appenders, so no
+    {!Json.t} is built; the bytes are what {!Json.add} writes for the same
+    fields. *)
 
 val of_json : Json.t -> (t, string) result
-(** Inverse of {!to_json}: decodes one trace line back into a typed event,
-    accepting exactly the field layout the encoder writes. *)
+(** Inverse of {!add_line}: decodes one parsed trace line back into a
+    typed event, accepting exactly the field layout the writer produces. *)

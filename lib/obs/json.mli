@@ -2,7 +2,10 @@
 
     The observability layer emits JSONL event streams, Chrome trace files and
     metrics snapshots; this module is the single encoder all of them share
-    (the container carries no JSON library). The parser exists for the
+    (the container carries no JSON library). Reports, Chrome traces,
+    history and baselines build a {!t}; trace lines skip the tree and call
+    the value appenders ({!add_quoted}, {!add_int}, {!add_float}) from
+    {!Event.add_line}. The parser exists for the
     offline side of the same pipeline — [colock analyze] reading a JSONL
     trace back into {!Event.t}s. *)
 
@@ -21,6 +24,17 @@ val add : ?indent:int -> Buffer.t -> t -> unit
     level. Integral floats below 1e15 in magnitude print as integers;
     non-finite floats encode as [null]. Apart from non-integral floats,
     encoding allocates nothing beyond the buffer's own growth. *)
+
+val add_quoted : Buffer.t -> string -> unit
+(** A string value: quoted, with the quote, the backslash and the control
+    bytes escaped; every other byte, UTF-8 included, goes in as is. *)
+
+val add_int : Buffer.t -> int -> unit
+
+val add_float : Buffer.t -> float -> unit
+(** As {!add} writes a [Float]: integral values below 1e15 in magnitude as
+    integers ([-0.0] as [-0]), other finite ones as [%.6g], non-finite
+    ones as [null]. *)
 
 val to_string : ?indent:int -> t -> string
 (** {!add} into a fresh buffer. *)

@@ -3,17 +3,13 @@
    (fault plans abort anywhere) leaves a file of complete lines, never a
    torn one. *)
 
-let add_line buffer event =
-  Json.add buffer (Event.to_json event);
-  Buffer.add_char buffer '\n'
-
 (* The handler reuses one buffer for every line; cleared, not reset, so it
    keeps the capacity of the longest line seen. *)
 let handler ?meter channel =
   let buffer = Buffer.create 256 in
   fun event ->
     Buffer.clear buffer;
-    add_line buffer event;
+    Event.add_line buffer event;
     (match meter with
      | None -> ()
      | Some meter ->
@@ -23,7 +19,7 @@ let handler ?meter channel =
 
 let write_events channel events =
   let buffer = Buffer.create 4096 in
-  List.iter (add_line buffer) events;
+  List.iter (Event.add_line buffer) events;
   Buffer.output_buffer channel buffer;
   flush channel
 

@@ -631,6 +631,12 @@ let event_script table =
 
 (* The script's events as the table emitted them before payloads were
    gated on the sink. *)
+(* An event's trace line, as a JSONL sink writes it, without the newline. *)
+let event_line event =
+  let buffer = Buffer.create 128 in
+  Obs.Event.add_line buffer event;
+  Buffer.sub buffer 0 (Buffer.length buffer - 1)
+
 let script_events =
   [ {|{"event": "lock_requested","time": 0,"txn": 1,"resource": "r","mode": "S","lu": "BLU","depth": 1}|};
     {|{"event": "lock_granted","time": 0,"txn": 1,"resource": "r","mode": "S","immediate": true,"lu": "BLU","depth": 1}|};
@@ -664,7 +670,7 @@ let test_table_untraced_does_no_event_work () =
   let sink =
     Obs.Sink.create
       [ (fun event ->
-          emitted := Obs.Json.to_string (Obs.Event.to_json event) :: !emitted)
+          emitted := event_line event :: !emitted)
       ]
   in
   let traced = Table.create ~obs:sink ~meta () in
@@ -876,7 +882,7 @@ let recorder () =
   let sink =
     Obs.Sink.create ~clock:(fun () -> 0.0)
       [ (fun event ->
-          events := Obs.Json.to_string (Obs.Event.to_json event) :: !events) ]
+          events := event_line event :: !events) ]
   in
   let drain () =
     let recorded = List.rev !events in
