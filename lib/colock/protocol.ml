@@ -56,7 +56,7 @@ let pp_step formatter { node; mode; reason; _ } =
     reason_text
 
 (* Tables keyed by a node's dense id. *)
-module By_index = Lockmgr.Int_table
+module By_index = Obs.Int_table
 
 (* Ordered plans with supremum-merge on duplicate nodes, keyed on dense node
    ids.  The first position of a node is kept, which preserves

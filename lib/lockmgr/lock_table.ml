@@ -25,7 +25,7 @@ type entry = {
 }
 
 module Entries = Hashtbl.Make (String)
-module Txns = Int_table
+module Txns = Obs.Int_table
 
 type held_entries = { mutable held : entry list }
 (* the entries where a transaction holds or waits, each once, in no
