@@ -157,94 +157,42 @@ let e16_contention_profile () =
 let e17_monitoring_overhead () =
   Tables.note
     "\n=== E17: what does watching cost? ===\n\
-     The same simulated workload four ways: observability off, cumulative\n\
-     counters only (collector), the full live monitor (gauges + sliding\n\
-     windows, LU-labelled), and the monitor behind a live /metrics\n\
-     endpoint that gets scraped. Wall-clock per run, so the overhead of\n\
-     the monitoring pipeline itself is the measurement.";
+     The same simulated workload three ways: observability off, cumulative\n\
+     counters only (collector), and the full live monitor (gauges + sliding\n\
+     windows, LU-labelled). Wall-clock per run, so the overhead of the\n\
+     monitoring pipeline itself is the measurement.";
   let graph, specs =
     Bench.Run.manufacturing
       { Workload.Generator.default_manufacturing with cells = 6; seed = 17 }
       { Sim.Scenario.default_mix with jobs = 40; arrival_gap = 5;
         read_fraction = 0.4; seed = 17 }
   in
-  let scrape ~port path =
-    let socket = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Fun.protect
-      ~finally:(fun () -> Unix.close socket)
-      (fun () ->
-        Unix.connect socket
-          (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-        let request =
-          Printf.sprintf
-            "GET %s HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n"
-            path
-        in
-        ignore
-          (Unix.write_substring socket request 0 (String.length request)
-            : int);
-        let chunk = Bytes.create 4096 in
-        let total = ref 0 in
-        let rec drain () =
-          let read = Unix.read socket chunk 0 (Bytes.length chunk) in
-          if read > 0 then begin
-            total := !total + read;
-            drain ()
-          end
-        in
-        drain ();
-        !total)
-  in
   let run_once mode =
-    let sink, monitor =
+    let sink =
       match mode with
-      | `Off -> (None, None)
+      | `Off -> None
       | `Counters ->
         let sink = Obs.Sink.create [] in
         let collector = Obs.Collector.create () in
         Obs.Sink.attach sink (Obs.Collector.handle collector);
-        (Some sink, None)
-      | `Monitor | `Serve ->
+        Some sink
+      | `Monitor ->
         let sink = Obs.Sink.create [] in
         let monitor = Obs.Monitor.create ~span:200.0 () in
         Obs.Sink.attach sink (Obs.Monitor.handle monitor);
-        (Some sink, Some monitor)
-    in
-    let server =
-      match mode, monitor with
-      | `Serve, Some monitor ->
-        Some
-          (Obs_http.start ~port:0 (fun path ->
-               match path with
-               | "/metrics" ->
-                 let body =
-                   Obs.Monitor.locked monitor (fun () ->
-                       Obs.Expo.render (Obs.Monitor.registry monitor))
-                 in
-                 Some
-                   { Obs_http.status = 200;
-                     content_type = Obs.Expo.content_type; body }
-               | _ -> None))
-      | _ -> None
+        Some sink
     in
     let setup = Bench.Run.setup ~obs:sink graph Workload.Dsl.Proposed specs in
-    let elapsed, (metrics, scraped) =
-      Harness.time (fun () ->
-          let metrics = Sim.Runner.run ~table:setup.table setup.jobs in
-          ( metrics,
-            match server with
-            | Some server -> scrape ~port:(Obs_http.port server) "/metrics"
-            | None -> 0 ))
+    let elapsed, metrics =
+      Harness.time (fun () -> Sim.Runner.run ~table:setup.table setup.jobs)
     in
-    Option.iter Obs_http.stop server;
     let events =
       match sink with Some sink -> Obs.Sink.emit_count sink | None -> 0
     in
-    (elapsed, (events, scraped, metrics.Sim.Metrics.committed))
+    (elapsed, (events, metrics.Sim.Metrics.committed))
   in
   let modes =
-    [ ("off", `Off); ("counters", `Counters); ("monitor", `Monitor);
-      ("monitor+serve", `Serve) ]
+    [ ("off", `Off); ("counters", `Counters); ("monitor", `Monitor) ]
   in
   let results =
     List.map
@@ -256,22 +204,21 @@ let e17_monitoring_overhead () =
     match results with (_, (median, _)) :: _ -> median | [] -> 0.0
   in
   Tables.print ~title:"E17: monitoring overhead (median wall ms per run)"
-    ~header:[ "mode"; "ms"; "vs off"; "events"; "scrape bytes" ]
+    ~header:[ "mode"; "ms"; "vs off"; "events" ]
     (List.map
-       (fun (name, (median, (events, scraped, _committed))) ->
+       (fun (name, (median, (events, _committed))) ->
          [ Tables.Text name; Tables.Float median;
            Tables.Float (if base > 0.0 then median /. base else 0.0);
-           Tables.Int events; Tables.Int scraped ])
+           Tables.Int events ])
        results);
   Tables.note
     "expected shape: counters cost little over off; the live monitor adds\n\
-     window bookkeeping per event; serving adds a background accept\n\
-     thread plus rendering per scrape. All should stay within a small\n\
+     window bookkeeping per event. Both should stay within a small\n\
      multiple of the bare run — monitoring is meant to be always-on.";
   Harness.write_json "BENCH_obs_overhead.json"
     (Obs.Json.Obj
        (List.map
-          (fun (name, (median, (events, scraped, committed))) ->
+          (fun (name, (median, (events, committed))) ->
             ( name,
               Obs.Json.Obj
                 [ ("median_ms", Obs.Json.Float median);
@@ -279,7 +226,6 @@ let e17_monitoring_overhead () =
                     Obs.Json.Float
                       (if base > 0.0 then median /. base else 0.0) );
                   ("events", Obs.Json.Float (float_of_int events));
-                  ("scrape_bytes", Obs.Json.Float (float_of_int scraped));
                   ("committed", Obs.Json.Float (float_of_int committed)) ] ))
           results))
 

@@ -34,14 +34,13 @@ type config = {
   hog_hold : int;
   check_invariants : bool;
   snapshot_every : int option;
-  on_advance : (int -> unit) option;
   overload : overload option;
 }
 
 let default_config =
   { max_restarts = 20; engine = Txn_manager.default_config;
     backoff = Policy.Fixed 50; hog_hold = 4000; check_invariants = false;
-    snapshot_every = None; on_advance = None; overload = None }
+    snapshot_every = None; overload = None }
 
 (* A job blocked in the lock table stays [Locking]: the wait itself is the
    engine's record on [txn]. *)
@@ -498,9 +497,6 @@ let run ?(config = default_config) ?(faults = Fault.none)
     match Event_queue.pop sim.queue with
     | None -> ()
     | Some (time, event) ->
-      (match config.on_advance with
-       | Some hook when time > sim.now -> hook time
-       | Some _ | None -> ());
       sim.now <- time;
       handle sim engine time event;
       if config.check_invariants then audit sim time;

@@ -61,12 +61,6 @@ type config = {
           many virtual ticks (deadlock structure over time, not just at
           detection); [None] disables. Snapshots stop once the event queue
           drains, so runs still terminate. *)
-  on_advance : (int -> unit) option;
-      (** called with the new virtual time whenever the clock is about to
-          advance (before the event at that time is handled). Lets a caller
-          pace the simulation against wall time — e.g. [colock simulate
-          --serve] sleeping so a live [/metrics] endpoint shows the run
-          unfolding — without the simulator depending on [Unix]. *)
   overload : overload option;
       (** closed-loop overload control. When set, job begins pass an
           admission gate (shed work shows up as [Metrics.shed] and
