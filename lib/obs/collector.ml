@@ -19,10 +19,8 @@ type t = {
   requests : (int * string, float) Hashtbl.t;
 }
 
-let create ?registry () =
-  let registry =
-    match registry with Some registry -> registry | None -> Registry.create ()
-  in
+let create () =
+  let registry = Registry.create () in
   let (_ : Histogram.t) = Registry.histogram registry wait_histogram in
   let (_ : Histogram.t) = Registry.histogram registry grant_histogram in
   let (_ : Histogram.t) = Registry.histogram registry response_histogram in
@@ -40,7 +38,6 @@ let create ?registry () =
   { registry; spans; requests = Hashtbl.create 64 }
 
 let registry collector = collector.registry
-let spans collector = collector.spans
 
 let handle collector event =
   let { Event.time; kind } = event in

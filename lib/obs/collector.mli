@@ -12,15 +12,11 @@
 
 type t
 
-val create : ?registry:Registry.t -> unit -> t
+val create : unit -> t
 (** The three histograms are pre-declared, so {!Registry.row} exports stable
     keys even for runs without waits. *)
 
 val registry : t -> Registry.t
-
-val spans : t -> Spans.t
-(** The collector's span fold, for projections that ride along (the
-    {!Monitor} subscribes to it). *)
 
 val handle : t -> Event.t -> unit
 (** Pass [handle collector] to {!Sink.create}. *)

@@ -48,8 +48,6 @@ let gauge_value registry name =
   | Some cell -> !cell
   | None -> 0.0
 
-let remove_gauge registry name = Hashtbl.remove registry.gauges name
-
 (* The span is fixed at creation: a later [window] call with a different
    [?span] returns the existing window unchanged (same get-or-create
    contract as [histogram]). *)

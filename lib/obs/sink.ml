@@ -1,6 +1,5 @@
 type meter = {
   mutable m_emitted : int;
-  mutable m_dropped : int;
   mutable m_bytes : int;
 }
 
@@ -13,7 +12,7 @@ type t = {
 let default_clock () = 0.0
 
 let create ?(clock = default_clock) handlers =
-  { clock; handlers; meter = { m_emitted = 0; m_dropped = 0; m_bytes = 0 } }
+  { clock; handlers; meter = { m_emitted = 0; m_bytes = 0 } }
 
 let attach sink handler = sink.handlers <- sink.handlers @ [ handler ]
 let set_clock sink clock = sink.clock <- clock
@@ -21,7 +20,6 @@ let set_clock sink clock = sink.clock <- clock
 let meter sink = sink.meter
 let emit_count sink = sink.meter.m_emitted
 let bytes_written sink = sink.meter.m_bytes
-let drop_count sink = sink.meter.m_dropped
 
 let emit_at sink ~time kind =
   match sink.handlers with
@@ -36,13 +34,7 @@ let emit sink kind =
   | [] -> ()
   | _ :: _ -> emit_at sink ~time:(sink.clock ()) kind
 
-let drop meter =
-  match meter with
-  | None -> ()
-  | Some meter -> meter.m_dropped <- meter.m_dropped + 1
-
-let filter ?meter keep handler =
-  fun event -> if keep event then handler event else drop meter
+let filter keep handler event = if keep event then handler event
 
 let not_sim_step event =
   match event.Event.kind with Event.Sim_step _ -> false | _ -> true
@@ -56,5 +48,5 @@ let memory ?clock ?keep () =
   attach sink
     (match keep with
      | None -> capture
-     | Some keep -> filter ~meter:sink.meter keep capture);
+     | Some keep -> filter keep capture);
   (sink, fun () -> List.rev !captured)

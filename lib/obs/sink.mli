@@ -9,15 +9,12 @@
     so events emitted deep inside the lock table carry simulation ticks
     rather than wall time.
 
-    Every sink self-accounts: events emitted, events dropped by its
-    filter stages, bytes written by JSONL handlers wired to its
-    {!meter}. [Monitor] surfaces these as [obs_*]
-    meta-metrics, so the observability pipeline's own backpressure is never
-    silent. *)
+    Every sink counts the events it emitted and the bytes that JSONL
+    handlers wired to its {!meter} wrote, so a run's trace volume can be
+    measured. *)
 
 type meter = {
   mutable m_emitted : int;  (** events fanned out to at least one handler *)
-  mutable m_dropped : int;  (** events a filter stage discarded *)
   mutable m_bytes : int;  (** bytes written by handlers that report here *)
 }
 
@@ -31,16 +28,12 @@ val attach : t -> (Event.t -> unit) -> unit
 val set_clock : t -> (unit -> float) -> unit
 
 val meter : t -> meter
-(** The sink's own accounting cell — pass it to {!filter} or
-    [Jsonl.handler] so their drops and bytes land here. *)
+(** The sink's own accounting cell — pass it to [Jsonl.handler] so the
+    bytes it writes land here. *)
 
 val emit_count : t -> int
 (** Events emitted through this sink (emissions with no handlers attached
     are not counted — they never left the caller). *)
-
-val drop_count : t -> int
-(** Events dropped before reaching a terminal handler: the filter
-    discards recorded in the {!meter}. *)
 
 val bytes_written : t -> int
 (** Bytes reported to the {!meter} by writing handlers. *)
@@ -51,11 +44,10 @@ val emit : t -> Event.kind -> unit
 val emit_at : t -> time:float -> Event.kind -> unit
 (** Like {!emit} with an explicit timestamp. *)
 
-val filter :
-  ?meter:meter -> (Event.t -> bool) -> (Event.t -> unit) -> Event.t -> unit
+val filter : (Event.t -> bool) -> (Event.t -> unit) -> Event.t -> unit
 (** [filter keep handler] wraps a handler so it only sees events where
     [keep] holds — e.g. drop [Sim_step] noise before a capture or JSONL
-    sink floods on a long soak. Discards are counted in [?meter] when given. *)
+    sink floods on a long soak. *)
 
 val not_sim_step : Event.t -> bool
 (** Predicate for {!filter}: everything but [Sim_step]. *)
@@ -65,6 +57,5 @@ val memory :
   t * (unit -> Event.t list)
 (** A sink that captures the whole run in memory, with no bound: the
     function returns every event captured so far, in emission order.
-    [?keep] filters what is captured (see {!filter}), and its discards show
-    in the sink's {!drop_count}; everything still reaches handlers attached
-    later with {!attach}. *)
+    [?keep] filters what is captured (see {!filter}); everything still
+    reaches handlers attached later with {!attach}. *)
