@@ -45,7 +45,8 @@ val parse : ?file:string -> string -> (t, string) result
 (** Parses a whole config text; the error aggregates every bad line as
     ["FILE:N: ..."] (or ["line N: ..."] without [?file]) diagnostics,
     each naming the offending token — unknown signal, bad comparator,
-    bad threshold or a malformed [{lu=...}] selector. *)
+    a threshold that is not a finite number, or a malformed [{lu=...}]
+    selector. *)
 
 val parse_rule : ?file:string -> ?line:int -> string -> (rule, string) result
 (** One rule line; [?file]/[?line] position the diagnostic the same way
