@@ -8,10 +8,9 @@
     - every key whose true weight exceeds [N/k] is tracked;
     - [estimate - error <= true weight <= estimate], with [error <= N/k].
 
-    This is what keeps live hot-resource/hot-blocker tracking
-    bounded-cardinality no matter how many distinct objects the lock
-    stream touches (see {!Monitor}). Not thread-safe on its own; the
-    monitor serializes access under its mutex. *)
+    This is what keeps live hot-resource tracking bounded-cardinality no
+    matter how many distinct objects the lock stream touches (see
+    {!Monitor}). Not thread-safe. *)
 
 type t
 
