@@ -93,6 +93,26 @@ let test_parse_diagnostics () =
   check_mentions "technique typo" "\"propsed\""
     (parse_error "techniques propsed\n")
 
+(* A scenario's inline [slo] rules go through the SLO engine's parser, so
+   a threshold that is not a finite number is refused at its line: a nan
+   threshold would never hold and an infinite one never breach. *)
+let test_parse_non_finite_slo_thresholds () =
+  List.iter
+    (fun threshold ->
+      let message =
+        parse_error ~file:"suite.scn"
+          (Printf.sprintf "scenario ok\nslo abort_rate < %s\n" threshold)
+      in
+      check_bool
+        (Printf.sprintf "%s refused at its line" threshold)
+        true
+        (contains
+           (Printf.sprintf "suite.scn:2: invalid threshold %S" threshold)
+           message))
+    [ "nan"; "inf"; "-inf"; "infinity" ];
+  check_int "a finite threshold parses" 1
+    (List.length (parse_exn "scenario ok\nslo abort_rate < 1e3\n").Dsl.slo)
+
 (* The canonical printer is a fixed point: print (parse (print s)) = print s
    for scenarios exercising every directive. *)
 let test_print_round_trip () =
@@ -274,6 +294,8 @@ let () =
         [ Alcotest.test_case "defaults" `Quick test_parse_defaults;
           Alcotest.test_case "full grammar" `Quick test_parse_full;
           Alcotest.test_case "diagnostics" `Quick test_parse_diagnostics;
+          Alcotest.test_case "non-finite slo thresholds" `Quick
+            test_parse_non_finite_slo_thresholds;
           Alcotest.test_case "print round-trips" `Quick
             test_print_round_trip;
           Alcotest.test_case "overload stanzas" `Quick
